@@ -23,8 +23,6 @@ from .grounder import (
 )
 from .bdd import BddManager, BddRef, BddVarInfo, BddError, NodeLimitError, available_kernels
 from .compiler import (
-    ONEHOT,
-    ORDER,
     CompileError,
     CompiledProgram,
     Encoding,
@@ -74,8 +72,6 @@ __all__ = [
     "BddError",
     "NodeLimitError",
     "available_kernels",
-    "ONEHOT",
-    "ORDER",
     "CompileError",
     "CompiledProgram",
     "Encoding",

@@ -7,12 +7,15 @@ reduction would produce one, both children are flipped and the complement
 moves to the incoming reference.
 
 Every variable carries two weights: a factor applied on the 1-branch and one
-on the 0-branch during weighted counting.  Order-encoded variables use
-(pi, 1 - pi); one-hot variables use (pi, 1).  Variables also carry a group id
-(the owning choice variable) and a query flag used by the best-path search.
+on the 0-branch during weighted counting; the order encoding uses
+(pi, 1 - pi).  Variables also carry a group id (the owning choice variable),
+an index inside the group and a query flag.  The max-product pass for MPE
+and MAP is not part of the kernel: BddManager.map_best runs it over the
+kernel's nodes and prob, so both kernels give the same answer.
 
 The compiled kernel in _bddcore mirrors this class operation for operation;
-keep the two in sync.
+keep the two in sync.  (It still carries an older kernel-level map_best that
+nothing calls.)
 """
 
 from __future__ import annotations
@@ -219,8 +222,8 @@ class Kernel:
     def wmc(self, ref):
         """General weighted count: sum over satisfying assignments of the
         product of branch weights.  Unlike prob() this stays correct when a
-        variable's weights do not sum to 1 (the one-hot encoding), at the
-        price of a (node, complement) memo key."""
+        variable's weights do not sum to 1, at the price of a (node,
+        complement) memo key."""
         return self._wmc(ref, 0, {})
 
     def _wmc(self, ref, comp, memo):
@@ -238,60 +241,6 @@ class Kernel:
         v = self._var[n]
         res = p1 * self._w1[v] + p0 * self._w0[v]
         memo[key] = res
-        return res
-
-    # ---- best path over query variables ----
-
-    def map_best(self, ref):
-        """Maximize the path value over query variables, treating the first
-        non-query node below as a weighted-count boundary.
-
-        Returns (value, list of query var ids set true on the best path).
-        The memo keys on (node, accumulated complement) because a node's best
-        path differs under complementation; decisions are stored per key and
-        the path is rebuilt by a second descent.
-        """
-        memo = {}
-        value = self._map_int(ref, 0, memo)
-        path = []
-        comp = 0
-        cur = ref
-        while True:
-            comp ^= cur & 1
-            n = cur >> 1
-            if n == 0:
-                break
-            v = self._var[n]
-            if not self._isq[v]:
-                break
-            take1 = memo[(n, comp)][1]
-            if take1:
-                path.append(v)
-                cur = self._hi[n]
-            else:
-                cur = self._lo[n]
-        return value, path
-
-    def _map_int(self, ref, comp, memo):
-        comp ^= ref & 1
-        n = ref >> 1
-        if n == 0:
-            return 0.0 if comp else 1.0
-        v = self._var[n]
-        if not self._isq[v]:
-            p = self._prob_node(n)
-            return 1.0 - p if comp else p
-        key = (n, comp)
-        if self.enable_memo:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit[0]
-        p0 = self._map_int(self._lo[n], comp, memo)
-        p1 = self._map_int(self._hi[n], comp, memo)
-        p1 *= self._w1[v]
-        take1 = p1 > p0
-        res = p1 if take1 else p0
-        memo[key] = (res, take1)
         return res
 
     # ---- reordering ----

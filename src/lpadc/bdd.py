@@ -8,11 +8,17 @@ Two kernels implement the same operations: ``_pybdd`` (pure Python) and
 External code holds :class:`BddRef` handles.  Live handles pin their nodes:
 garbage collection (a mark-and-sweep triggered by a node-count threshold)
 only runs between operations and only frees nodes unreachable from pinned
-references.
+references.  The manager holds no handle itself, so a manager and its
+diagrams are freed by reference counting once the last handle goes.
+
+The max-product pass for MPE and MAP (:meth:`BddManager.map_best`) lives
+here rather than in the kernels: it reads the kernel's nodes and weighted
+counts, so both kernels give the same answer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -63,6 +69,10 @@ def _make_kernel(name, node_cap, enable_op_cache, enable_memo):
             raise BddError("the compiled kernel is not available; install with the extension or use kernel='py'")
         return core.Kernel(node_cap, enable_op_cache, enable_memo)
     raise BddError("unknown kernel %r" % name)
+
+
+def _log(x):
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,18 @@ class BddManager:
         self.kernel_name = self._k.name
         self.gc_threshold = gc_threshold
         self._pins = {}
-        self.true = BddRef(self, 0)
-        self.false = BddRef(self, 1)
+
+    # The terminals are fresh handles rather than stored ones: a stored
+    # handle would point back at the manager, and the cycle would keep every
+    # diagram alive until a full garbage collection.
+
+    @property
+    def true(self):
+        return BddRef(self, 0)
+
+    @property
+    def false(self):
+        return BddRef(self, 1)
 
     # ---- pinning / gc ----
 
@@ -240,14 +260,118 @@ class BddManager:
         return self._k.prob(a.ref)
 
     def wmc(self, a):
-        """Weighted count valid for any weights, e.g. one-hot blocks."""
+        """Weighted count valid for any weights, also when a variable's two
+        weights do not sum to 1."""
         return self._k.wmc(a.ref)
 
     def map_best(self, a):
-        """Best-path search over query variables: returns (value, vars true
-        on the best path)."""
-        value, path = self._k.map_best(a.ref)
-        return value, list(path)
+        """Max-product pass over the query chains, in log space.
+
+        Returns (log_value, choices).  log_value is the log of the maximum,
+        over values of the query groups, of the probability of those values
+        times the probability of `a` given them; choices maps each query
+        group the best path tests to the chain position of its best value.
+        A group the best path never tests is not in choices: every one of
+        its values reaches the same remainder.
+
+        The contract, which the compiler's encoding meets: every query
+        variable sits above every other one, each query group's variables
+        are adjacent and in chain order (bit j set means "value at position
+        j", all bits clear the last value), and `a` depends on a group only
+        through the value it selects.  A path can then enter a group only at
+        its first bit and leaves it right after a 1-branch.  With
+        m_g[j] = max(pi_j, (1 - pi_j) m_g[j+1]) and m_g[last] = 1 (the best
+        conditional value once bits 0..j-1 are clear), a node testing bit j
+        of group g scores max(pi_j skip V(hi), (1 - pi_j) V'(lo)), where
+        V'(lo) is m_g[j+1] skip V(lo) when lo leaves g, and skip is the
+        product of m_h[0] over the whole query groups h that the edge
+        jumps.  The first non-query node below is a weighted-count
+        boundary.  Ties go to the 1-branch.
+        """
+        k = self._k
+        order = k.level_order()
+        groups = []  # in level order: (group id, var ids)
+        for v in order:
+            if not k.var_is_query(v):
+                break
+            g = k.var_group(v)
+            if not groups or groups[-1][0] != g:
+                groups.append((g, []))
+            groups[-1][1].append(v)
+        n_query = sum(len(ids) for _, ids in groups)
+        if len({g for g, _ in groups}) != len(groups) or any(
+            k.var_is_query(v) for v in order[n_query:]
+        ):
+            raise BddError(
+                "map_best needs each query group's variables adjacent and "
+                "above all other variables"
+            )
+        where = {}  # query var -> (group position, bit)
+        lw1, lw0, lm, best = [], [], [], []  # per group position, by bit
+        skip = [0.0]  # skip[i]: sum of log m_h[0] over positions h < i
+        for gpos, (_, ids) in enumerate(groups):
+            w1 = [_log(k.var_weight(v)) for v in ids]
+            w0 = [_log(k.var_zero_weight(v)) for v in ids]
+            m, arg = [0.0] * (len(ids) + 1), list(range(len(ids) + 1))
+            for j in reversed(range(len(ids))):
+                where[ids[j]] = (gpos, j)
+                if w1[j] >= w0[j] + m[j + 1]:
+                    m[j] = w1[j]
+                else:
+                    m[j], arg[j] = w0[j] + m[j + 1], arg[j + 1]
+            lw1.append(w1)
+            lw0.append(w0)
+            lm.append(m)
+            best.append(arg)
+            skip.append(skip[-1] + m[0])
+        end = len(groups)
+
+        # query node -> (group position, bit, lo, hi)
+        nodes = {n: where[v] + (lo, hi) for n, v, lo, hi in k.nodes(a.ref) if v in where}
+        val, take = {}, {}
+
+        def child(ref, comp):
+            """(entry group position, log value) of an edge's target."""
+            comp ^= ref & 1
+            n = ref >> 1
+            if n in nodes:
+                return nodes[n][0], val[n][comp]
+            if n == 0:
+                return end, -math.inf if comp else 0.0
+            p = k.prob(n << 1)
+            return end, _log(1.0 - p if comp else p)
+
+        # deepest first, so children are scored before their parents
+        for n in sorted(nodes, key=nodes.get, reverse=True):
+            gpos, j, lo, hi = nodes[n]
+            out = skip[gpos + 1]
+            val[n], take[n] = [], []
+            for comp in (0, 1):
+                hpos, hval = child(hi, comp)
+                s1 = lw1[gpos][j] + skip[hpos] - out + hval
+                lpos, lval = child(lo, comp)
+                s0 = lw0[gpos][j] + lval
+                if lpos != gpos:
+                    s0 += lm[gpos][j + 1] + skip[lpos] - out
+                val[n].append(max(s1, s0))
+                take[n].append(s1 >= s0)
+
+        rpos, log_value = child(a.ref, 0)
+        log_value += skip[rpos]
+        choices = {}
+        ref, comp = a.ref, 0
+        while ref >> 1 in nodes:
+            comp ^= ref & 1
+            gpos, j, lo, hi = nodes[ref >> 1]
+            g = groups[gpos][0]
+            if take[ref >> 1][comp]:
+                choices[g] = j
+                ref = hi
+            else:
+                if nodes.get(lo >> 1, (end,))[0] != gpos:
+                    choices[g] = best[gpos][j + 1]
+                ref = lo
+        return log_value, choices
 
     def reorder_groups_front(self, groups):
         self._k.reorder_groups_front(set(groups))

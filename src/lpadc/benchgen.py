@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import queue as queue_module
 import time
 from dataclasses import dataclass
 from random import Random
@@ -29,6 +30,8 @@ from .parser import parse_program
 BENCH_FAMILIES = ("graph", "gh", "gnb", "blood")
 BENCH_TASKS = ("prob", "mpe", "map")
 CSV_FIELDS = ("family", "size", "seed", "task", "fraction", "time_s", "value", "status")
+# A child that exited cleanly has already flushed its reply into the pipe.
+REPLY_WAIT_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class BenchRow:
     fraction: float | None
     time_s: float
     value: float | None
-    status: str  # ok | timeout | memcap | error
+    status: str  # ok | timeout | memcap | crash | error
 
     def to_csv_dict(self):
         return {
@@ -237,7 +240,9 @@ def _child(spec, queue):
 
 def run_bench(spec):
     """Run one spec in a worker process, enforcing the timeout by
-    termination, and report the outcome as a CSV-ready row."""
+    termination, and report the outcome as a CSV-ready row.  A worker that
+    dies without a reply (a signal, the OOM killer, a hard exit) is a
+    crash."""
     start = time.perf_counter()
     if spec.timeout is None:
         try:
@@ -256,8 +261,13 @@ def run_bench(spec):
             proc.terminate()
             proc.join()
             status, value = "timeout", None
+        elif proc.exitcode != 0:
+            status, value = "crash", None
         else:
-            status, value = queue.get()
+            try:
+                status, value = queue.get(timeout=REPLY_WAIT_S)
+            except queue_module.Empty:
+                status, value = "crash", None
     elapsed = time.perf_counter() - start
     return BenchRow(
         family=spec.family,

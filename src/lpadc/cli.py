@@ -16,7 +16,7 @@ from . import benchgen, infer, oracle
 from .bdd import NodeLimitError, available_kernels
 from .compiler import CompileError, compile_program, compile_query
 from .grounder import GroundingError, StratificationError, format_ground, ground
-from .model import Assignment, Literal, validate
+from .model import Assignment, Literal
 from .parser import ParseError, parse_atom, parse_literal, parse_program
 
 
@@ -31,6 +31,7 @@ def _read_program(args):
     except OSError as exc:
         raise ParseError(str(exc))
     program = parse_program(text, filename=args.program)
+    infer.check_program(program)
     for warning in program.warnings:
         print("warning: %s" % warning, file=sys.stderr)
     if args.evidence:

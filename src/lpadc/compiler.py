@@ -1,23 +1,21 @@
 """Compilation of ground programs to BDDs.
 
-Each choice variable becomes a block of Boolean variables under one of two
-encodings:
+Every choice variable, for every task, becomes a chain of Boolean variables
+under the order encoding: n values map to n-1 Booleans; the value at chain
+position k is the path "bits 0..k-1 false, bit k true" and the last value is
+all-false.  Explicit heads come first in the chain and the null head, if
+any, last.  Weights are conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on
+the 1-branch and 1 - pi_k on the 0-branch, so each variable's two weights
+sum to 1 and weighted counting sums each value exactly once.
 
-* order: n values map to n-1 Booleans; value k is the path "first k-1 false,
-  k-th true" and the last value is all-false.  Weights are conditional:
-  pi_k = P_k / prod_{j<k}(1 - pi_j), with the 0-branch weighted 1 - pi_k.
-  Weighted counting then sums each value exactly once, but several Boolean
-  assignments can map to the same value, so maximization over these
-  variables would double-count.
-* onehot: one Boolean per value, weighted P_k on the 1-branch and 1 on the
-  0-branch, plus an exactly-one constraint conjoined into the query BDD.
-  This is the encoding maximization needs.
-
-Marginals use order everywhere; MPE uses onehot everywhere; MAP mixes
-(onehot for query variables, order for the rest).
+MPE and MAP use the same encoding.  The only difference is the variable
+order: the query choice variables' chains are created first, so they sit on
+the top levels of the diagram, which is the layout the max-product pass in
+BddManager.map_best needs.
 
 Atom formulas are built bottom-up per stratum by a least-fixpoint iteration
 starting from FALSE, restricted to atoms the query actually depends on.
+Every formula depends on a chain only through the value it selects.
 """
 
 from __future__ import annotations
@@ -25,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bdd import BddManager
-
-ORDER = "order"
-ONEHOT = "onehot"
 
 TASK_MODES = ("prob", "mpe", "map")
 
@@ -37,46 +32,36 @@ class CompileError(Exception):
 
 
 class Encoding:
-    """Boolean variable blocks for every choice variable of a ground program."""
+    """Boolean variable chains for every choice variable of a ground program.
 
-    def __init__(self, manager, gp, modes, query_cvs, creation_order=None):
+    The query choice variables' chains are created first, in the relative
+    order of creation_order (default: index order), then the rest.
+    """
+
+    def __init__(self, manager, gp, query_cvs, creation_order=None):
         self.manager = manager
         self.gp = gp
-        self.modes = tuple(modes)
         self.query_cvs = frozenset(query_cvs)
         self.var_ids = [None] * len(gp.choice_vars)
         self._value_cache = {}
-        self._constraint_cache = {}
         order = range(len(gp.choice_vars)) if creation_order is None else creation_order
+        order = [ci for ci in order if ci in self.query_cvs] + [
+            ci for ci in order if ci not in self.query_cvs
+        ]
         for ci in order:
-            self.var_ids[ci] = self._create_block(ci)
+            self.var_ids[ci] = self._create_chain(ci)
 
-    def _create_block(self, ci):
+    def _create_chain(self, ci):
         cv = self.gp.choice_vars[ci]
-        mode = self.modes[ci]
         is_query = ci in self.query_cvs
         ids = []
-        if mode == ONEHOT:
-            for k, p in enumerate(cv.probs):
-                ids.append(
-                    self.manager.new_var(
-                        group=ci, index=k, weight=p, zero_weight=1.0, is_query=is_query
-                    )
-                )
-        else:
-            # chain order: explicit heads first, the null value (if any) last
-            chain = list(cv.probs[1:]) if cv.has_null else list(cv.probs)
-            if cv.has_null:
-                chain.append(cv.probs[0])
-            denom = 1.0
-            for i in range(len(chain) - 1):
-                w = chain[i] / denom
-                ids.append(
-                    self.manager.new_var(
-                        group=ci, index=i, weight=w, is_query=is_query
-                    )
-                )
-                denom *= 1.0 - w
+        denom = 1.0
+        for i in range(cv.n_values - 1):
+            w = cv.probs[self.value_at(ci, i)] / denom
+            ids.append(
+                self.manager.new_var(group=ci, index=i, weight=w, is_query=is_query)
+            )
+            denom *= 1.0 - w
         return tuple(ids)
 
     def group_vars(self, ci):
@@ -88,6 +73,13 @@ class Encoding:
             return len(cv.probs) - 1 if k == 0 else k - 1
         return k
 
+    def value_at(self, ci, pos):
+        """Selection index of the value at chain position pos."""
+        cv = self.gp.choice_vars[ci]
+        if cv.has_null:
+            return 0 if pos == len(cv.probs) - 1 else pos + 1
+        return pos
+
     def value_bdd(self, ci, k):
         """BDD for "choice variable ci selects value k"."""
         key = (ci, k)
@@ -96,34 +88,13 @@ class Encoding:
             return hit
         m = self.manager
         ids = self.var_ids[ci]
-        if self.modes[ci] == ONEHOT:
-            out = m.var(ids[k])
-        else:
-            pos = self._chain_position(ci, k)
-            out = m.true
-            for i in range(min(pos, len(ids))):
-                out = out & m.nvar(ids[i])
-            if pos < len(ids):
-                out = out & m.var(ids[pos])
+        pos = self._chain_position(ci, k)
+        out = m.true
+        for i in range(min(pos, len(ids))):
+            out = out & m.nvar(ids[i])
+        if pos < len(ids):
+            out = out & m.var(ids[pos])
         self._value_cache[key] = out
-        return out
-
-    def exactly_one(self, ci):
-        """At-least-one and pairwise at-most-one over a onehot block."""
-        hit = self._constraint_cache.get(ci)
-        if hit is not None:
-            return hit
-        if self.modes[ci] != ONEHOT:
-            raise CompileError("exactly-one constraints only apply to onehot blocks")
-        m = self.manager
-        ids = self.var_ids[ci]
-        out = m.false
-        for v in ids:
-            out = out | m.var(v)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                out = out & ~(m.var(ids[i]) & m.var(ids[j]))
-        self._constraint_cache[ci] = out
         return out
 
 
@@ -161,7 +132,8 @@ def compile_program(
     """Set up the Boolean encoding for a ground program.
 
     query_cvs (choice-variable indices) defaults to the map_query-flagged
-    variables for task "map" and to all variables for "mpe".
+    variables for task "map" and to all variables for "mpe"; their chains
+    are created first, so they sit on the top levels.
     """
     if task not in TASK_MODES:
         raise CompileError("unknown task %r" % task)
@@ -180,15 +152,12 @@ def compile_program(
     bad = [ci for ci in query if not (0 <= ci < n)]
     if bad:
         raise CompileError("query choice variables out of range: %r" % bad)
-    modes = [
-        ONEHOT if (task != "prob" and ci in query) else ORDER for ci in range(n)
-    ]
     if manager is None:
         kwargs = {}
         if node_cap is not None:
             kwargs["node_cap"] = node_cap
         manager = BddManager(kernel=kernel, **kwargs)
-    encoding = Encoding(manager, gp, modes, query, creation_order)
+    encoding = Encoding(manager, gp, query, creation_order)
     return CompiledProgram(gp, manager, encoding, task)
 
 
@@ -270,17 +239,10 @@ def compile_literal(cp, lit):
     return ~f if lit.negated else f
 
 
-def compile_query(cp, literals, with_constraints=None):
-    """Conjunction of the literals' formulas; for maximization tasks the
-    exactly-one constraint of every onehot block is conjoined as well."""
-    if with_constraints is None:
-        with_constraints = cp.task in ("mpe", "map")
+def compile_query(cp, literals):
+    """Conjunction of the literals' formulas."""
     _ensure_atoms(cp, [lit.atom for lit in literals])
     out = cp.manager.true
     for lit in literals:
         out = out & compile_literal(cp, lit)
-    if with_constraints:
-        for ci in range(len(cp.gp.choice_vars)):
-            if cp.encoding.modes[ci] == ONEHOT:
-                out = out & cp.encoding.exactly_one(ci)
     return out

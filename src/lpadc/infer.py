@@ -1,19 +1,37 @@
 """Marginal, MPE and MAP inference over compiled programs.
 
+All three tasks compile the program under one encoding, where each choice
+variable is a chain of Boolean variables (see lpadc.compiler).  Marginals
+are weighted counts of the query BDD.  MPE and MAP put the query choice
+variables' chains on the top levels and run one max-product pass over the
+evidence BDD (BddManager.map_best): within a query chain it maximizes over
+the values a path can still select, and at the first non-query node it
+switches to the weighted count of the rest.  The pass is sound because a
+compiled formula depends on a chain only through the value it selects, so a
+path enters a chain at its first bit and leaves it after a 1-branch.
+
 Maximization reports the joint probability P(x, e) by default; pass
-normalize=True for P(x | e).  Assignments cover every query choice variable:
-variables the best path never touches are completed with their most probable
-head (the path not branching on them means any head yields the same
-remainder, so the maximum picks the heaviest).
+normalize=True for P(x | e).  The pass runs in log space and the result
+carries log_value next to value = exp(log_value), so a selection keeps a
+meaningful score when its probability underflows a float.  Assignments
+cover every query choice variable: variables the best path never touches
+are completed with their most probable head (the path not branching on them
+means any head yields the same remainder, so the maximum picks the
+heaviest).
+
+Every entry point validates the program, also when the caller passes a
+ground program of its own.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import grounder
-from .compiler import ONEHOT, compile_program, compile_query
+from .bdd import _log
+from .compiler import compile_program, compile_query
 from .model import Assignment, Literal, validate
 
 
@@ -43,6 +61,7 @@ class InferenceStats:
 class InferenceResult:
     task: str
     value: float
+    log_value: float  # natural log of value; -inf when value is 0
     normalized: bool
     assignment: object  # Assignment or None
     stats: InferenceStats
@@ -51,6 +70,8 @@ class InferenceResult:
         return {
             "task": self.task,
             "value": self.value,
+            # JSON has no infinities: a zero value has no finite log
+            "log_value": self.log_value if math.isfinite(self.log_value) else None,
             "normalized": self.normalized,
             "assignment": (
                 None if self.assignment is None else self.assignment.to_rule_dicts()
@@ -70,7 +91,8 @@ def prob(manager, ref):
     return manager.prob(ref)
 
 
-def _check_program(program):
+def check_program(program):
+    """Raise InferError with the validator's diagnostics for a bad program."""
     diags = validate(program)
     if diags:
         raise InferError(
@@ -84,9 +106,10 @@ def _evidence_of(program, evidence):
     return tuple(evidence)
 
 
-def _ground(program):
-    _check_program(program)
-    gp = grounder.ground(program)
+def _ground(program, gp):
+    check_program(program)
+    if gp is None:
+        gp = grounder.ground(program)
     gp.strata()  # raises on non-stratified programs before any BDD work
     return gp
 
@@ -101,8 +124,7 @@ def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=No
     ev = _evidence_of(program, evidence)
     if query is None:
         raise InferError("the prob task needs a query atom")
-    if gp is None:
-        gp = _ground(program)
+    gp = _ground(program, gp)
     cp = compile_program(gp, task="prob", kernel=kernel, node_cap=node_cap)
     qref = compile_query(cp, [Literal(query)])
     value = cp.manager.prob(qref)
@@ -122,30 +144,19 @@ def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=No
         fixpoint_iterations=cp.stats.fixpoint_iterations,
         wall_time_s=time.perf_counter() - start,
     )
-    return InferenceResult("prob", value, True, None, stats)
+    return InferenceResult("prob", value, _log(value), True, None, stats)
 
 
-def decode(path_vars, encoding, query_cvs):
-    """Turn the best path's true variables into one head selection per query
-    choice variable; untouched variables take their most probable head."""
+def decode(choices, encoding, query_cvs):
+    """Turn the best path's chain positions ({choice variable: position})
+    into one head selection per query choice variable; variables the path
+    never tests take their most probable head."""
     gp = encoding.gp
-    chosen = {}
-    for v in path_vars:
-        info = encoding.manager.var_info(v)
-        ci = info.group
-        if encoding.modes[ci] != ONEHOT:
-            continue
-        if ci in chosen:
-            raise InferError(
-                "best path selects two heads of choice variable %d" % ci
-            )
-        chosen[ci] = info.index
     entries = []
     for ci in sorted(query_cvs):
         cv = gp.choice_vars[ci]
-        k = chosen.get(ci)
-        if k is None:
-            k = cv.max_prob_value()
+        pos = choices.get(ci)
+        k = cv.max_prob_value() if pos is None else encoding.value_at(ci, pos)
         entries.append((cv, k))
     entries.sort(key=lambda e: (e[0].clause_id, e[0].grounding_id))
     return Assignment(tuple(entries))
@@ -155,8 +166,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
                  creation_order=None):
     start = time.perf_counter()
     ev = _evidence_of(program, evidence)
-    if gp is None:
-        gp = _ground(program)
+    gp = _ground(program, gp)
     cp = compile_program(
         gp,
         task=task,
@@ -170,11 +180,13 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
         # every variable weight is positive, so an unsatisfiable BDD is the
         # only way the evidence can have probability zero
         raise InferError("evidence has probability zero")
-    cp.manager.reorder_groups_front(cp.query_cvs)
-    value, path = cp.manager.map_best(eref)
-    assignment = decode(path, cp.encoding, cp.query_cvs)
+    log_value, choices = cp.manager.map_best(eref)
+    assignment = decode(choices, cp.encoding, cp.query_cvs)
     if normalize:
-        value /= cp.manager.wmc(eref)
+        p_ev = cp.manager.prob(eref)
+        if p_ev <= 0.0:
+            raise InferError("evidence probability underflows to zero")
+        log_value -= math.log(p_ev)
     stats = InferenceStats(
         kernel=cp.manager.kernel_name,
         bool_vars=cp.manager.num_vars,
@@ -182,7 +194,9 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
         fixpoint_iterations=cp.stats.fixpoint_iterations,
         wall_time_s=time.perf_counter() - start,
     )
-    return InferenceResult(task, value, normalize, assignment, stats)
+    return InferenceResult(
+        task, math.exp(log_value), log_value, normalize, assignment, stats
+    )
 
 
 def mpe(program, evidence=None, normalize=False, kernel=None, node_cap=None, gp=None):

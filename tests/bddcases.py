@@ -1,6 +1,6 @@
 """Shared machinery for kernel property tests: random formula trees with an
 independent evaluator, structural invariant checks, and brute-force weighted
-counts used as references."""
+counts and maximizations used as references."""
 
 from __future__ import annotations
 
@@ -117,55 +117,93 @@ def brute_wmc(manager, ref, nv):
     return total
 
 
-def brute_map(manager, ref, nv, query):
-    """Reference for map_best: maximize over query-variable assignments the
-    product of selected-variable weights times the summed-out remainder."""
-    rest = [i for i in range(nv) if i not in query]
-    best = None
-    for qvals in itertools.product((False, True), repeat=len(query)):
-        fixed = dict(zip(query, qvals))
-        weight = 1.0
-        for v, b in fixed.items():
-            if b:
-                weight *= manager.var_info(v).weight
+def chain_case(seed, manager):
+    """Order-encoded groups for map_best: 1-4 groups, each a chain of 1-3
+    bits (value k < bits is "bits 0..k-1 clear, bit k set", the last value
+    is all bits clear), query groups created first, and a random formula
+    over "group g takes value k" literals.  Returns (groups, tree, ref),
+    where groups is a list of (value probabilities, var ids, is_query)."""
+    rng = random.Random(seed)
+    n_groups = rng.randint(1, 4)
+    n_query = rng.randint(1, n_groups)
+    groups = []
+    for g in range(n_groups):
+        bits = rng.randint(1, 3)
+        raw = [rng.uniform(0.05, 1.0) for _ in range(bits + 1)]
+        probs = [x / sum(raw) for x in raw]
+        ids, denom = [], 1.0
+        for j in range(bits):
+            w = probs[j] / denom
+            ids.append(manager.new_var(g, j, w, is_query=g < n_query))
+            denom *= 1.0 - w
+        groups.append((probs, ids, g < n_query))
+    tree = _value_tree(rng, groups, depth=rng.randint(1, 4))
+    return groups, tree, _build_values(manager, groups, tree)
+
+
+def _value_tree(rng, groups, depth):
+    if depth == 0 or rng.random() < 0.3:
+        g = rng.randrange(len(groups))
+        return ("val", g, rng.randrange(len(groups[g][0])))
+    op = rng.choice(("and", "or", "not"))
+    if op == "not":
+        return ("not", _value_tree(rng, groups, depth - 1))
+    return (op, _value_tree(rng, groups, depth - 1),
+            _value_tree(rng, groups, depth - 1))
+
+
+def _build_values(manager, groups, tree):
+    if tree[0] == "val":
+        _, g, k = tree
+        ids = groups[g][1]
+        out = manager.true
+        for v in ids[:k]:
+            out = out & manager.nvar(v)
+        if k < len(ids):
+            out = out & manager.var(ids[k])
+        return out
+    if tree[0] == "not":
+        return ~_build_values(manager, groups, tree[1])
+    a = _build_values(manager, groups, tree[1])
+    b = _build_values(manager, groups, tree[2])
+    return a & b if tree[0] == "and" else a | b
+
+
+def _eval_values(tree, values):
+    if tree[0] == "val":
+        return values[tree[1]] == tree[2]
+    if tree[0] == "not":
+        return not _eval_values(tree[1], values)
+    if tree[0] == "and":
+        return _eval_values(tree[1], values) and _eval_values(tree[2], values)
+    return _eval_values(tree[1], values) or _eval_values(tree[2], values)
+
+
+def brute_map(groups, tree):
+    """Reference for map_best by enumeration over value tuples: the maximum
+    over query-group values of their probability times the summed
+    probability of the formula over the other groups' values, and a
+    function scoring any query-value tuple."""
+    query = [g for g, (_, _, q) in enumerate(groups) if q]
+    rest = [g for g, (_, _, q) in enumerate(groups) if not q]
+
+    def score(qvals):
         total = 0.0
-        for rvals in itertools.product((False, True), repeat=len(rest)):
-            vals = [False] * nv
-            for v, b in fixed.items():
-                vals[v] = b
-            w = 1.0
-            for v, b in zip(rest, rvals):
-                vals[v] = b
-                info = manager.var_info(v)
-                w *= info.weight if b else info.zero_weight
-            if manager.eval(ref, vals):
+        for rvals in itertools.product(*(range(len(groups[g][0])) for g in rest)):
+            values = dict(zip(query, qvals))
+            values.update(zip(rest, rvals))
+            if _eval_values(tree, values):
+                w = 1.0
+                for g, k in values.items():
+                    w *= groups[g][0][k]
                 total += w
-        value = weight * total
-        if best is None or value > best:
-            best = value
-    return best
+        return total
 
-
-def value_of_path(manager, ref, nv, query, path):
-    """The map objective achieved by a returned path (true query vars)."""
-    true_set = set(path)
-    weight = 1.0
-    for v in true_set:
-        weight *= manager.var_info(v).weight
-    rest = [i for i in range(nv) if i not in query]
-    total = 0.0
-    for rvals in itertools.product((False, True), repeat=len(rest)):
-        vals = [False] * nv
-        for v in true_set:
-            vals[v] = True
-        w = 1.0
-        for v, b in zip(rest, rvals):
-            vals[v] = b
-            info = manager.var_info(v)
-            w *= info.weight if b else info.zero_weight
-        if manager.eval(ref, vals):
-            total += w
-    return weight * total
+    best = max(
+        score(qvals)
+        for qvals in itertools.product(*(range(len(groups[g][0])) for g in query))
+    )
+    return best, score
 
 
 def random_case(seed, max_vars=12, manager_factory=None, order_weights=True):

@@ -4,7 +4,13 @@ import random
 import pytest
 
 import bddcases
-from lpadc.bdd import BddManager, NodeLimitError, available_kernels, default_kernel
+from lpadc.bdd import (
+    BddError,
+    BddManager,
+    NodeLimitError,
+    available_kernels,
+    default_kernel,
+)
 
 
 def mk(kernel, **kw):
@@ -134,27 +140,32 @@ def test_wmc_counts_onehot_selections(kernel):
 
 
 def test_map_best_matches_brute_force(kernel):
-    for seed in range(40):
-        rng = random.Random(seed)
-        nv = rng.randint(2, 7)
-        nq = rng.randint(1, nv)
+    # formulas over order-encoded chains that depend only on the selected
+    # values, with query and summed-out groups and complemented edges
+    for seed in range(150):
         m = mk(kernel)
-        for i in range(nv):
-            # engine usage: query vars carry bare head weights, summed-out
-            # vars need complementary weights for the boundary marginal
-            is_query = i < nq
-            m.new_var(i, 0, rng.uniform(0.1, 0.9),
-                      zero_weight=1.0 if is_query else None,
-                      is_query=is_query)
-        tree = bddcases.gen_tree(rng, nv, depth=4)
-        ref = bddcases.build(m, tree)
-        query = list(range(nq))
-        value, path = m.map_best(ref)
-        want = bddcases.brute_map(m, ref, nv, query)
-        assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-300)
-        if value > 0.0:
-            achieved = bddcases.value_of_path(m, ref, nv, query, path)
-            assert math.isclose(achieved, value, rel_tol=1e-12)
+        groups, tree, ref = bddcases.chain_case(seed, m)
+        want, score = bddcases.brute_map(groups, tree)
+        log_value, choices = m.map_best(ref)
+        assert math.isclose(math.exp(log_value), want, rel_tol=1e-12,
+                            abs_tol=1e-300), "seed %d" % seed
+        if want == 0.0:
+            continue
+        # an untested group reaches the same remainder with every value,
+        # so completing it with its most probable value stays optimal
+        picks = []
+        for g, (probs, _, is_query) in enumerate(groups):
+            if is_query:
+                picks.append(choices.get(g, probs.index(max(probs))))
+        assert math.isclose(score(picks), want, rel_tol=1e-12), "seed %d" % seed
+
+
+def test_map_best_rejects_query_vars_below_others(kernel):
+    m = mk(kernel)
+    m.new_var(0, 0, 0.5)
+    q = m.new_var(1, 0, 0.5, is_query=True)
+    with pytest.raises(BddError):
+        m.map_best(m.var(q))
 
 
 def test_reorder_preserves_eval(kernel):

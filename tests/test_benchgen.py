@@ -3,9 +3,11 @@
 import csv
 import io
 import math
+import os
 
 import pytest
 
+from lpadc import benchgen
 from lpadc.benchgen import (
     BENCH_FAMILIES,
     CSV_FIELDS,
@@ -214,6 +216,19 @@ def test_run_bench_timeout():
     assert row.status == "timeout"
     assert row.value is None
     assert row.time_s >= 0.2
+
+
+def _exit_without_reply(spec):
+    os._exit(1)
+
+
+def test_run_bench_reports_crash(monkeypatch):
+    # the worker is forked, so it runs the patched task
+    monkeypatch.setattr(benchgen, "_run_task", _exit_without_reply)
+    row = run_bench(BenchSpec("gh", 2, 0, "prob", timeout=30.0))
+    assert row.status == "crash"
+    assert row.value is None
+    assert row.time_s < 30.0
 
 
 def test_write_rows_round_trip():

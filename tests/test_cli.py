@@ -223,6 +223,16 @@ def test_impossible_evidence_is_exit_1(capsys):
     assert "probability zero" in err
 
 
+def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
+    path = tmp_path / "unsafe.lpad"
+    path.write_text("p(X):0.5 :- q(Y).\nq(a).\n")
+    for argv in (("prob", str(path), "--query", "q(a)"), ("mpe", str(path)),
+                 ("ground", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "unsafe variables X" in err and "unbound" not in err, argv
+
+
 def test_node_cap_is_exit_2(capsys, tmp_path):
     path = tmp_path / "wide.lpad"
     path.write_text(format_program(gen_graph(20, seed=0)))

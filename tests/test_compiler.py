@@ -5,8 +5,6 @@ import math
 import pytest
 
 from lpadc.compiler import (
-    ONEHOT,
-    ORDER,
     CompileError,
     compile_atom,
     compile_program,
@@ -17,7 +15,7 @@ from lpadc.model import Literal
 from lpadc.oracle import exact_prob
 from lpadc.parser import parse_program
 
-from randprog import random_case
+from randprog import map_subset, random_case
 
 THREE = """
 a:0.2; b:0.3; c:0.5.
@@ -39,27 +37,37 @@ def probs_of(gp, ci):
 
 def test_prob_task_uses_order_everywhere(kernel):
     cp = compile_program(_gp(THREE), task="prob", kernel=kernel)
-    assert cp.encoding.modes == (ORDER, ORDER)
     assert cp.query_cvs == frozenset()
+    m = cp.manager
+    assert not any(m.var_info(v).is_query for v in m.level_order())
 
 
-def test_mpe_task_uses_onehot_everywhere(kernel):
-    cp = compile_program(_gp(THREE), task="mpe", kernel=kernel)
-    assert cp.encoding.modes == (ONEHOT, ONEHOT)
-    assert cp.query_cvs == frozenset({0, 1})
-
-
-def test_map_task_mixes_encodings(kernel):
-    cp = compile_program(_gp(THREE), task="map", query_cvs=[1], kernel=kernel)
-    assert cp.encoding.modes == (ORDER, ONEHOT)
-    assert cp.query_cvs == frozenset({1})
+def test_max_tasks_put_query_groups_on_top(kernel):
+    # the same order encoding for every task; MPE and MAP only create the
+    # query chains first, keeping creation order inside both partitions
+    gp = _gp(THREE + "f:0.5.\n")
+    for task, query_cvs, creation_order, want in (
+        ("mpe", None, None, [0, 1, 2]),
+        ("map", [2], None, [2, 0, 1]),
+        ("map", [0, 2], [2, 1, 0], [2, 0, 1]),
+    ):
+        cp = compile_program(gp, task=task, query_cvs=query_cvs,
+                             creation_order=creation_order, kernel=kernel)
+        m = cp.manager
+        levels = [m.var_info(v) for v in m.level_order()]
+        assert [info.group for info in levels] == [
+            ci for ci in want for _ in cp.encoding.group_vars(ci)
+        ]
+        assert [info.is_query for info in levels] == [
+            ci in cp.query_cvs for ci in want for _ in cp.encoding.group_vars(ci)
+        ]
+        assert [info.index for info in levels if info.group == 0] == [0, 1]
 
 
 def test_map_defaults_to_flagged_clauses(kernel):
     gp = _gp("map_query a:0.2; b:0.3; c:0.5.\nd:0.4; e:0.1.\n")
     cp = compile_program(gp, task="map", kernel=kernel)
     assert cp.query_cvs == frozenset({0})
-    assert cp.encoding.modes == (ONEHOT, ORDER)
 
 
 def test_map_without_query_clauses_rejected(kernel):
@@ -83,23 +91,23 @@ def test_unknown_task_rejected(kernel):
 
 def test_block_sizes(kernel):
     gp = _gp(THREE)
-    order = compile_program(gp, task="prob", kernel=kernel).encoding
-    onehot = compile_program(gp, task="mpe", kernel=kernel).encoding
     # THREE: cv0 has 3 values (no null), cv1 has 3 (null + 2 heads)
-    assert [len(order.group_vars(ci)) for ci in (0, 1)] == [2, 2]
-    assert [len(onehot.group_vars(ci)) for ci in (0, 1)] == [3, 3]
+    for task in ("prob", "mpe"):
+        enc = compile_program(gp, task=task, kernel=kernel).encoding
+        assert [len(enc.group_vars(ci)) for ci in (0, 1)] == [2, 2]
 
 
 def test_order_value_probabilities(kernel):
     gp = _gp(THREE)
-    cp = compile_program(gp, task="prob", kernel=kernel)
-    for ci in (0, 1):
-        got = [
-            cp.manager.prob(cp.encoding.value_bdd(ci, k))
-            for k in range(len(probs_of(gp, ci)))
-        ]
-        assert got == pytest.approx(probs_of(gp, ci), abs=1e-12)
-        assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
+    for task in ("prob", "mpe"):
+        cp = compile_program(gp, task=task, kernel=kernel)
+        for ci in (0, 1):
+            got = [
+                cp.manager.prob(cp.encoding.value_bdd(ci, k))
+                for k in range(len(probs_of(gp, ci)))
+            ]
+            assert got == pytest.approx(probs_of(gp, ci), abs=1e-12)
+            assert math.fsum(got) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_order_values_partition(kernel):
@@ -125,23 +133,6 @@ def test_order_chain_weights_have_unit_sum(kernel):
         for v in cp.encoding.group_vars(ci):
             info = m.var_info(v)
             assert info.weight + info.zero_weight == pytest.approx(1.0, abs=1e-12)
-
-
-def test_onehot_value_probabilities(kernel):
-    gp = _gp(THREE)
-    cp = compile_program(gp, task="mpe", kernel=kernel)
-    m, enc = cp.manager, cp.encoding
-    for ci in (0, 1):
-        eo = enc.exactly_one(ci)
-        assert m.wmc(eo) == pytest.approx(1.0, abs=1e-12)
-        for k, p in enumerate(probs_of(gp, ci)):
-            assert m.wmc(enc.value_bdd(ci, k) & eo) == pytest.approx(p, abs=1e-12)
-
-
-def test_exactly_one_requires_onehot(kernel):
-    cp = compile_program(_gp(THREE), task="prob", kernel=kernel)
-    with pytest.raises(CompileError):
-        cp.encoding.exactly_one(0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +205,6 @@ def test_compile_query_conjoins_literals(kernel, ex1):
     assert cp.manager.prob(f) == pytest.approx(want, abs=1e-12)
 
 
-def test_compile_query_adds_constraints_for_mpe(kernel):
-    gp = _gp(THREE)
-    cp = compile_program(gp, task="mpe", kernel=kernel)
-    a = gp.atoms[0]
-    bare = compile_query(cp, [Literal(a)], with_constraints=False)
-    constrained = compile_query(cp, [Literal(a)])
-    assert bare.ref != constrained.ref
-    assert cp.manager.wmc(constrained) == pytest.approx(
-        exact_prob(gp, [Literal(a)]), abs=1e-12
-    )
-
-
 def test_creation_order_does_not_change_probabilities(kernel):
     gp = _gp(THREE)
     base = compile_program(gp, kernel=kernel)
@@ -248,16 +227,22 @@ def test_node_cap_threads_through(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the two encodings agree
+# the query-first layout is only a variable order
 
 
 def test_encodings_agree_on_random_programs(kernel):
     for seed in range(40):
         case = random_case(seed)
-        gp = ground(case.program)
+        query_cvs = map_subset(case)
+        if not query_cvs:
+            continue
         lits = [Literal(case.query)] + list(case.evidence)
-        order = compile_program(gp, task="prob", kernel=kernel)
-        onehot = compile_program(gp, task="mpe", kernel=kernel)
-        p_order = order.manager.prob(compile_query(order, lits))
-        p_onehot = onehot.manager.wmc(compile_query(onehot, lits))
-        assert p_onehot == pytest.approx(p_order, abs=1e-9), case.src
+        default = compile_program(case.gp, task="prob", kernel=kernel)
+        p_default = default.manager.prob(compile_query(default, lits))
+        reverse = list(reversed(range(len(case.gp.choice_vars))))
+        first = compile_program(case.gp, task="map", query_cvs=query_cvs,
+                                creation_order=reverse, kernel=kernel)
+        f = compile_query(first, lits)
+        p_first = first.manager.prob(f)
+        assert p_first == pytest.approx(p_default, abs=1e-9), case.src
+        assert first.manager.wmc(f) == pytest.approx(p_first, abs=1e-12), case.src

@@ -1,6 +1,8 @@
 """End-to-end inference: marginals, MPE, and MAP against the oracle."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -140,7 +142,10 @@ def test_stats_populated(kernel, ex1):
 def test_json_shape(kernel, ex2):
     res = mpe(parse_program(ex2), evidence=EV, kernel=kernel)
     d = res.to_json_dict()
-    assert set(d) == {"task", "value", "normalized", "assignment", "stats"}
+    assert set(d) == {
+        "task", "value", "log_value", "normalized", "assignment", "stats"
+    }
+    assert d["log_value"] == pytest.approx(math.log(d["value"]), rel=1e-12)
     assert d["task"] == "mpe"
     assert [r["clause"] for r in d["assignment"]] == [0, 1]
     assert set(d["stats"]) == {
@@ -152,12 +157,51 @@ def test_json_shape(kernel, ex2):
     }
 
 
+def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
+    import lpadc.compiler
+
+    managers = []
+
+    class Recorded(lpadc.compiler.BddManager):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            managers.append(weakref.ref(self))
+
+    monkeypatch.setattr(lpadc.compiler, "BddManager", Recorded)
+    gc.disable()
+    try:
+        for task in (mpe, map_query):
+            res = task(parse_program(ex2), evidence=EV, kernel=kernel)
+            del res
+        res = prob_result(parse_program(ex2), parse_atom("ev"), kernel=kernel)
+        del res
+        assert len(managers) == 3
+        assert [ref() for ref in managers] == [None] * 3
+    finally:
+        gc.enable()
+
+
+def test_mpe_log_value_survives_underflow(kernel):
+    # 1,100 independent choices at 0.5: the MPE probability 0.5**1100
+    # underflows a float, its log does not
+    facts = "".join("n(%d).\n" % i for i in range(1, 1101))
+    program = parse_program("e(X):0.5 :- n(X).\n" + facts + "evidence(e(1)).\n")
+    res = mpe(program, kernel=kernel)
+    assert res.value == 0.0
+    assert math.isclose(res.log_value, 1100 * math.log(0.5), rel_tol=1e-9)
+    heads = {d["body"]: d["head"] for d in res.assignment.to_rule_dicts()}
+    assert len(heads) == 1100
+    assert heads.pop("n(1)") == "e(1)"  # the evidence forces this one
+    assert set(heads.values()) == {""}  # ties resolve to the null head
+    assert res.to_json_dict()["log_value"] == res.log_value
+
+
 def test_decode_defaults_to_most_probable_head(kernel):
     from lpadc.compiler import compile_program
 
     gp = ground(parse_program("a:0.2; b:0.7; c:0.1.\n"))
     cp = compile_program(gp, task="mpe", kernel=kernel)
-    assignment = decode([], cp.encoding, cp.query_cvs)
+    assignment = decode({}, cp.encoding, cp.query_cvs)
     ((cv, k),) = assignment.entries
     assert str(cv.ground_heads[k]) == "b"
 
