@@ -14,8 +14,8 @@ and MAP is not part of the kernel: BddManager.map_best runs it over the
 kernel's nodes and prob, so both kernels give the same answer.
 
 The compiled kernel in _bddcore mirrors this class operation for operation;
-keep the two in sync.  (It still carries an older kernel-level map_best that
-nothing calls.)
+keep the two in sync.  (It still carries an older kernel-level map_best and
+an apply_not that nothing calls, and cache switches that default to on.)
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ class NodeLimitError(Exception):
 class Kernel:
     name = "py"
 
-    def __init__(self, node_cap=1 << 22, enable_op_cache=True, enable_memo=True):
+    def __init__(self, node_cap=1 << 22):
         self.node_cap = node_cap
-        self.enable_op_cache = enable_op_cache
-        self.enable_memo = enable_memo
         # node 0 is the 1-terminal; children unused
         self._var = [-1]
         self._lo = [0]
@@ -139,9 +137,6 @@ class Kernel:
 
     # ---- operations ----
 
-    def apply_not(self, a):
-        return a ^ 1
-
     def apply_and(self, a, b):
         if a == TRUE:
             return b
@@ -155,10 +150,9 @@ class Kernel:
             return FALSE
         if a > b:
             a, b = b, a
-        if self.enable_op_cache:
-            hit = self._and_cache.get((a, b))
-            if hit is not None:
-                return hit
+        hit = self._and_cache.get((a, b))
+        if hit is not None:
+            return hit
         na, nb = a >> 1, b >> 1
         la = self._level_of[self._var[na]]
         lb = self._level_of[self._var[nb]]
@@ -178,8 +172,7 @@ class Kernel:
         else:
             b1 = b0 = b
         r = self._mk(v, self.apply_and(a0, b0), self.apply_and(a1, b1))
-        if self.enable_op_cache:
-            self._and_cache[(a, b)] = r
+        self._and_cache[(a, b)] = r
         return r
 
     def apply_or(self, a, b):
@@ -204,10 +197,9 @@ class Kernel:
     def _prob_node(self, n):
         if n == 0:
             return 1.0
-        if self.enable_memo:
-            hit = self._prob_memo.get(n)
-            if hit is not None:
-                return hit
+        hit = self._prob_memo.get(n)
+        if hit is not None:
+            return hit
         lo = self._lo[n]
         p1 = self._prob_node(self._hi[n] >> 1)
         p0 = self._prob_node(lo >> 1)
@@ -215,8 +207,7 @@ class Kernel:
             p0 = 1.0 - p0
         v = self._var[n]
         res = p1 * self._w1[v] + p0 * self._w0[v]
-        if self.enable_memo:
-            self._prob_memo[n] = res
+        self._prob_memo[n] = res
         return res
 
     def wmc(self, ref):
@@ -232,10 +223,9 @@ class Kernel:
         if n == 0:
             return 0.0 if comp else 1.0
         key = (n, comp)
-        if self.enable_memo:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         p1 = self._wmc(self._hi[n], comp, memo)
         p0 = self._wmc(self._lo[n], comp, memo)
         v = self._var[n]

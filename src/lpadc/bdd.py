@@ -58,16 +58,16 @@ def default_kernel():
     return "cy" if _try_import_core() is not None else "py"
 
 
-def _make_kernel(name, node_cap, enable_op_cache, enable_memo):
+def _make_kernel(name, node_cap):
     if name in (None, "auto"):
         name = default_kernel()
     if name == "py":
-        return _pybdd.Kernel(node_cap, enable_op_cache, enable_memo)
+        return _pybdd.Kernel(node_cap)
     if name == "cy":
         core = _try_import_core()
         if core is None:
             raise BddError("the compiled kernel is not available; install with the extension or use kernel='py'")
-        return core.Kernel(node_cap, enable_op_cache, enable_memo)
+        return core.Kernel(node_cap)
     raise BddError("unknown kernel %r" % name)
 
 
@@ -142,14 +142,9 @@ class BddRef:
 
 class BddManager:
     def __init__(
-        self,
-        kernel=None,
-        node_cap=DEFAULT_NODE_CAP,
-        gc_threshold=DEFAULT_GC_THRESHOLD,
-        enable_op_cache=True,
-        enable_memo=True,
+        self, kernel=None, node_cap=DEFAULT_NODE_CAP, gc_threshold=DEFAULT_GC_THRESHOLD
     ):
-        self._k = _make_kernel(kernel, node_cap, enable_op_cache, enable_memo)
+        self._k = _make_kernel(kernel, node_cap)
         self.kernel_name = self._k.name
         self.gc_threshold = gc_threshold
         self._pins = {}
@@ -238,18 +233,6 @@ class BddManager:
 
     def apply_not(self, a):
         return BddRef(self, a.ref ^ 1)
-
-    def conjoin(self, refs):
-        out = self.true
-        for r in refs:
-            out = self.apply_and(out, r)
-        return out
-
-    def disjoin(self, refs):
-        out = self.false
-        for r in refs:
-            out = self.apply_or(out, r)
-        return out
 
     def eval(self, a, values):
         return self._k.eval(a.ref, values)

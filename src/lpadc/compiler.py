@@ -13,8 +13,11 @@ order: the query choice variables' chains are created first, so they sit on
 the top levels of the diagram, which is the layout the max-product pass in
 BddManager.map_best needs.
 
-Atom formulas are built bottom-up per stratum by a least-fixpoint iteration
-starting from FALSE, restricted to atoms the query actually depends on.
+Atom formulas are built bottom-up per strongly connected component of the
+atom dependency graph, in the grounder's condensation order, restricted to
+atoms the query actually depends on: an atom outside every cycle is built
+once from its finished dependencies, and only the atoms of a cyclic
+component run a least-fixpoint iteration starting from FALSE.
 Every formula depends on a chain only through the value it selects.
 """
 
@@ -100,8 +103,8 @@ class Encoding:
 
 @dataclass
 class CompileStats:
-    fixpoint_iterations: int = 0
-    strata_processed: int = 0
+    fixpoint_iterations: int = 0  # passes over components, one per acyclic one
+    strata_processed: int = 0  # components built
 
 
 class CompiledProgram:
@@ -177,23 +180,18 @@ def _needed_atoms(cp, atoms):
 
 
 def _ensure_atoms(cp, atoms):
-    """Compute formulas for the given atoms (and their dependencies),
-    stratum by stratum, least fixpoint within each stratum."""
+    """Compute formulas for the given atoms and their dependencies, one
+    strongly connected component at a time in dependency order.  An acyclic
+    component takes a single pass; a cyclic one iterates from FALSE to its
+    least fixpoint."""
     needed = _needed_atoms(cp, atoms)
-    if not needed:
-        return
     gp = cp.gp
     m = cp.manager
     strata = gp.strata()
-    discovery = {a: i for i, a in enumerate(gp.atoms)}
-    by_level = {}
-    for a in needed:
-        by_level.setdefault(strata.index.get(a, 0), []).append(a)
-
-    for level in sorted(by_level):
-        group = sorted(
-            by_level[level], key=lambda a: discovery.get(a, len(discovery))
-        )
+    # a needed atom's whole component is needed, as its members depend on
+    # it; atoms outside the program have no rules and stay FALSE
+    for c in sorted({strata.index[a] for a in needed if a in strata.index}):
+        group = strata.levels[c]
         cur = {a: m.false for a in group}
         cp.stats.strata_processed += 1
 
@@ -222,7 +220,7 @@ def _ensure_atoms(cp, atoms):
                 if f.ref != cur[a].ref:
                     cur[a] = f
                     changed = True
-            if not changed:
+            if not (changed and strata.cyclic[c]):
                 break
         cp.formulas.update(cur)
 

@@ -3,16 +3,17 @@
 Grounding is relevance-restricted: a clause instance is kept only when every
 positive body atom is a possible head (derivable under some selection).
 Negative literals are ignored while matching, which over-approximates but
-never loses a relevant instance.  The resulting ground program is stratified
-over ground atoms by condensing the dependency graph; a negative edge inside
-a strongly connected component is an error.
+never loses a relevant instance.  The strata of the ground program are its
+strongly connected components over ground atoms, in condensation order
+(dependencies first), found by one iterative Tarjan pass; a negative edge
+inside a component is an error.  The compiler evaluates the program in the
+same component order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .model import NULL, Atom, ChoiceVariable, Literal, Var
 
@@ -47,8 +48,13 @@ class GroundClause:
 
 @dataclass(frozen=True)
 class Strata:
-    levels: tuple  # (frozenset[Atom], ...) in dependency order
-    index: dict  # Atom -> level number
+    """The strongly connected components of the atom dependency graph, each
+    after the components it depends on: a stratification, and the order in
+    which the compiler evaluates."""
+
+    levels: tuple  # (tuple[Atom, ...], ...) one per component, dependencies first
+    index: dict  # Atom -> component number
+    cyclic: tuple  # per component: more than one atom, or an atom depending on itself
 
     def level_of(self, atom):
         return self.index.get(atom, 0)
@@ -152,8 +158,6 @@ def ground(program):
                         Literal(_subst_atom(l.atom, binding), l.negated)
                         for l in cl.body
                     )
-                except GroundingError:
-                    raise
                 except KeyError as exc:
                     raise GroundingError(
                         "clause %d: unbound variable %s" % (cl.clause_id, exc)
@@ -202,59 +206,69 @@ def ground(program):
     return GroundProgram(program, ground_clauses, choice_vars, atoms.keys())
 
 
+def _components(nodes, succ):
+    """Strongly connected components of a directed graph, each listed after
+    every component it has an edge into: Tarjan (1972) with an explicit
+    stack, so long dependency chains do not hit the recursion limit."""
+    low = {}  # DFS number, lowered to the least one reachable; inf once done
+    stack = []
+    comps = []
+    for root in nodes:
+        if root in low:
+            continue
+        low[root] = len(low)
+        stack.append(root)
+        work = [(root, low[root], iter(succ.get(root, ())))]
+        while work:
+            v, num, edges = work[-1]
+            for w in edges:
+                if w not in low:
+                    low[w] = len(low)
+                    stack.append(w)
+                    work.append((w, low[w], iter(succ.get(w, ()))))
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == num:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        low[comp[-1]] = math.inf
+                    comps.append(tuple(comp))
+    return comps
+
+
 def stratify(gp):
-    """Assign every ground atom a stratum so positive dependencies stay within
-    a level and negative ones point strictly downward."""
-    graph = nx.DiGraph()
-    for a in gp.atoms:
-        graph.add_node(a)
-    for lit in gp.program.evidence:
-        graph.add_node(lit.atom)
-    for a in gp.program.queries:
-        graph.add_node(a)
+    """Condense the atom dependency graph into its strongly connected
+    components, dependencies first; a negative edge inside a component makes
+    the program non-stratified."""
+    succ = {}  # head -> {body atom: None}, an ordered set
+    negative = []  # (body atom, head) of every negative literal
     for gc in gp.ground_clauses:
         for head, _ in gc.heads:
+            deps = succ.setdefault(head, {})
             for lit in gc.body:
-                if graph.has_edge(lit.atom, head):
-                    if lit.negated:
-                        graph[lit.atom][head]["neg"] = True
-                else:
-                    graph.add_edge(lit.atom, head, neg=lit.negated)
-
-    cond = nx.condensation(graph)
-    mapping = cond.graph["mapping"]
-    neg_pairs = set()
-    for u, v, data in graph.edges(data=True):
-        if data["neg"]:
-            if mapping[u] == mapping[v]:
-                raise StratificationError(
-                    "non-stratified program: negative cycle through %s and %s"
-                    % (u, v)
-                )
-            neg_pairs.add((mapping[u], mapping[v]))
-
-    level = {}
-    for scc in nx.topological_sort(cond):
-        lv = 0
-        for pred in cond.predecessors(scc):
-            lv = max(lv, level[pred] + (1 if (pred, scc) in neg_pairs else 0))
-        level[scc] = lv
-
-    index = {}
-    for scc, lv in level.items():
-        for atom in cond.nodes[scc]["members"]:
-            index[atom] = lv
-    n_levels = max(level.values()) + 1 if level else 1
-    levels = [set() for _ in range(n_levels)]
-    for atom, lv in index.items():
-        levels[lv].add(atom)
-    return Strata(levels=tuple(frozenset(s) for s in levels), index=index)
+                deps[lit.atom] = None
+                if lit.negated:
+                    negative.append((lit.atom, head))
+    evidence = [lit.atom for lit in gp.program.evidence]
+    levels = _components([*gp.atoms, *evidence, *gp.program.queries], succ)
+    index = {a: i for i, comp in enumerate(levels) for a in comp}
+    for u, v in negative:
+        if index[u] == index[v]:
+            raise StratificationError(
+                "non-stratified program: negative cycle through %s and %s" % (u, v)
+            )
+    cyclic = tuple(len(c) > 1 or c[0] in succ.get(c[0], ()) for c in levels)
+    return Strata(levels=tuple(levels), index=index, cyclic=cyclic)
 
 
 def format_ground(gp):
     """Textual dump of the ground program with choice-variable annotations."""
-    from .parser import format_program  # noqa: F401  (shared rendering style)
-
     lines = []
     for gc in gp.ground_clauses:
         heads = "; ".join("%s:%r" % (a, p) for a, p in gc.heads)

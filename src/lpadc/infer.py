@@ -86,11 +86,6 @@ class InferenceResult:
         return lines
 
 
-def prob(manager, ref):
-    """Weighted count of a compiled BDD (kernel pass-through)."""
-    return manager.prob(ref)
-
-
 def check_program(program):
     """Raise InferError with the validator's diagnostics for a bad program."""
     diags = validate(program)

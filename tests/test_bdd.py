@@ -197,24 +197,6 @@ def test_swap_levels_is_local_and_sound(kernel):
         assert bddcases.check_structure(m, ref) == []
 
 
-def test_caches_off_same_results(kernel):
-    for seed in range(15):
-        plain = bddcases.random_case(seed, max_vars=7,
-                                     manager_factory=lambda: mk(kernel))
-        nocache = bddcases.random_case(
-            seed,
-            max_vars=7,
-            manager_factory=lambda: mk(kernel, enable_op_cache=False,
-                                       enable_memo=False),
-        )
-        m1, tree, nv, _ = plain
-        m2 = nocache[0]
-        a = bddcases.build(m1, tree)
-        b = bddcases.build(m2, tree)
-        assert a.ref == b.ref
-        assert m1.prob(a) == m2.prob(b)
-
-
 def test_node_cap_raises(kernel):
     m = mk(kernel, node_cap=4)
     for i in range(8):

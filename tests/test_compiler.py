@@ -183,6 +183,27 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
     assert cp.stats.fixpoint_iterations > 1
 
 
+def test_cyclic_component_iterates_to_fixpoint(kernel):
+    gp = _gp("a:0.5.\nb:0.4.\np :- a.\np :- q.\nq :- p.\nq :- b.")
+    cp = compile_program(gp, kernel=kernel)
+    from lpadc.parser import parse_atom
+
+    p = parse_atom("p")
+    got = cp.manager.prob(compile_atom(cp, p))
+    assert got == pytest.approx(0.7, abs=1e-12)
+    assert got == pytest.approx(exact_prob(gp, [Literal(p)]), abs=1e-12)
+    assert cp.stats.fixpoint_iterations > cp.stats.strata_processed
+
+
+def test_acyclic_atoms_take_one_pass_each(kernel):
+    from lpadc.benchgen import gen_gh
+    from lpadc.parser import parse_atom
+
+    cp = compile_program(ground(gen_gh(6, 0)), kernel=kernel)
+    compile_atom(cp, parse_atom("a0"))
+    assert cp.stats.fixpoint_iterations == cp.stats.strata_processed == 7
+
+
 def test_stratified_negation_compiles(kernel, ex4):
     gp = ground(parse_program(ex4))
     cp = compile_program(gp, kernel=kernel)

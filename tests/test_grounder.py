@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -93,10 +97,66 @@ def test_positive_recursion_allowed():
     assert gp.strata() is not None
 
 
+def test_recursive_atoms_share_a_cyclic_component():
+    gp = gp_of("a:0.5.\nb:0.4.\np :- a.\np :- q.\nq :- p.\nq :- b.")
+    strata = gp.strata()
+    a, b, p, q = (parse_atom(name) for name in "abpq")
+    assert strata.index[p] == strata.index[q]
+    assert set(strata.levels[strata.index[p]]) == {p, q}
+    assert strata.cyclic[strata.index[p]]
+    assert not strata.cyclic[strata.index[a]]
+    assert strata.index[a] < strata.index[p] and strata.index[b] < strata.index[p]
+    self_loop = gp_of("a:0.5.\np :- a.\np :- p.").strata()
+    assert self_loop.cyclic[self_loop.index[p]]
+
+
+def test_components_are_mutual_reachability_classes():
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        src = "".join("p%d:0.5.\n" % i for i in range(n))
+        src += "".join("p%d :- p%d.\n" % e for e in sorted(edges))
+        strata = gp_of(src).strata()
+        reach = {(i, i) for i in range(n)} | edges
+        for k, i, j in itertools.product(range(n), repeat=3):
+            if (i, k) in reach and (k, j) in reach:
+                reach.add((i, j))
+        comp = [strata.index[parse_atom("p%d" % i)] for i in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            assert (comp[i] == comp[j]) == ((i, j) in reach and (j, i) in reach)
+        assert all(comp[j] <= comp[i] for i, j in edges)
+        assert [strata.cyclic[comp[i]] for i in range(n)] == [
+            any(comp[j] == comp[i] for j in range(n) if (i, j) in edges)
+            for i in range(n)
+        ]
+
+
 def test_negative_cycle_rejected():
-    gp = gp_of("a:0.9.\np :- a, \\+ q.\nq :- \\+ p.")
-    with pytest.raises(StratificationError):
-        gp.strata()
+    for src in (
+        "a:0.9.\np :- a, \\+ q.\nq :- \\+ p.",
+        "a:0.5.\np :- a, \\+ p.",  # a negative self-edge
+    ):
+        gp = gp_of(src)
+        with pytest.raises(StratificationError):
+            gp.strata()
+
+
+def test_stratify_chain_deeper_than_recursion_limit():
+    # listed from the fact upward, so grounding finishes in two rounds
+    n = 3 * sys.getrecursionlimit()
+    src = "p0:0.5.\n" + "".join("p%d :- p%d.\n" % (i, i - 1) for i in range(1, n + 1))
+    strata = gp_of(src).strata()
+    assert len(strata.levels) == n + 1
+    assert not any(strata.cyclic)
+    assert [strata.index[parse_atom("p%d" % i)] for i in (0, n)] == [0, n]
+
+
+def test_import_does_not_load_networkx():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import lpadc, sys; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_variable_clause_without_constants_rejected():
