@@ -1,19 +1,42 @@
 """Grounding and stratification.
 
-Grounding is relevance-restricted: a clause instance is kept only when every
-positive body atom is a possible head (derivable under some selection).
-Negative literals are ignored while matching, which over-approximates but
-never loses a relevant instance.  The strata of the ground program are its
-strongly connected components over ground atoms, in condensation order
-(dependencies first), found by one iterative Tarjan pass; a negative edge
-inside a component is an error.  The compiler evaluates the program in the
-same component order.
+Grounding keeps a clause instance only when every positive body atom is a
+possible atom: a head of some kept instance, so derivable under some
+selection.  Negative literals are ignored while matching, which
+over-approximates but never loses an instance some world uses.  Every
+possible atom is grounded, whether or not the query depends on it.
+
+The possible atoms are a least fixpoint, computed by semi-naive evaluation
+(Bancilhon & Ramakrishnan, SIGMOD 1986) in rounds.  Round 0 fires the
+clauses without a positive body literal.  Round r fires a clause only when
+one of its positive body predicates gained atoms in round r-1 (the delta),
+once per such literal i: the literals before i join against the atoms older
+than the delta, literal i against the delta, and the literals after i
+against every atom up to the delta, so each instance is found exactly once.
+The delta literal is joined first, the others after it in literal order.
+Candidate atoms come from an index keyed on (pred, arity, position,
+constant) for the first argument already bound when a literal is joined,
+and on (pred, arity) when none is; only positions some literal probes while
+bound are indexed.
+
+Numbering is deterministic.  Atoms are numbered as they are first derived:
+by round, then clause, then instance, then head.  A clause's instances are
+numbered (grounding_id) by round and, within a round, by the numbers of
+their positive body atoms in literal order, compared lexicographically.
+
+The strata of the ground program are its strongly connected components
+over ground atoms, in condensation order (dependencies first), found by one
+iterative Tarjan pass; a negative edge inside a component is an error.  The
+compiler evaluates the program in the same component order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .model import NULL, Atom, ChoiceVariable, Literal, Var
 
@@ -78,57 +101,103 @@ class GroundProgram:
         return self._strata
 
 
-def _subst_term(t, binding):
-    if isinstance(t, Var):
-        return binding[t]
-    return t
+def _plan(positives, first, slots, probed):
+    """Join steps over a clause's positive literals: literal `first` (the
+    delta) first, the others after it in literal order.  A step is
+    (literal number, index key, probe, ops): the probe is the first argument
+    bound when the step runs, as (position, kind, value), or None; ops check
+    or bind the remaining arguments in argument order, kind 0 comparing with
+    a constant, 1 with a bound slot, and 2 binding a slot."""
+    bound = set()
+    steps = []
+    for j in [first] + [j for j in range(len(positives)) if j != first]:
+        atom = positives[j]
+        key = (atom.pred, len(atom.args))
+        probe = None
+        ops = []
+        binds = set()
+        for pos, t in enumerate(atom.args):
+            if not isinstance(t, Var):
+                op = (pos, 0, t)
+            elif t in binds:  # a repeat within this literal
+                ops.append((pos, 1, slots[t]))
+                continue
+            elif t in bound:
+                op = (pos, 1, slots[t])
+            else:
+                binds.add(t)
+                ops.append((pos, 2, slots[t]))
+                continue
+            if probe is None:
+                probe = op
+                probed.add(key + (pos,))
+            else:
+                ops.append(op)
+        bound |= binds
+        steps.append((j, key, probe, tuple(ops)))
+    return tuple(steps)
 
 
-def _subst_atom(atom, binding):
-    if not atom.args:
+def _template(atom, slots):
+    """(pred, ((is_var, slot or constant), ...)), or the atom itself when it
+    is ground."""
+    if atom.is_ground():
         return atom
-    return Atom(atom.pred, tuple(_subst_term(t, binding) for t in atom.args))
+    return atom.pred, tuple(
+        (True, slots[t]) if isinstance(t, Var) else (False, t) for t in atom.args
+    )
 
 
-def _match(pattern, ground, binding):
-    """Extend binding so pattern matches the ground atom, or return None."""
-    if pattern.pred != ground.pred or len(pattern.args) != len(ground.args):
-        return None
-    new = None
-    for pt, gt in zip(pattern.args, ground.args):
-        if isinstance(pt, Var):
-            cur = binding.get(pt) if new is None else new.get(pt)
-            if cur is None:
-                if new is None:
-                    new = dict(binding)
-                new[pt] = gt
-            elif cur != gt:
-                return None
-        elif pt != gt:
-            return None
-    return binding if new is None else new
+def _fill(template, env):
+    if isinstance(template, Atom):
+        return template
+    pred, args = template
+    return Atom(pred, tuple(env[v] if is_var else v for is_var, v in args))
 
 
-def _substitutions(clause, atoms_by_pred):
-    """Yield bindings grounding the clause, joining positive body literals
-    against the possible-atom index in literal order."""
-    positives = [lit.atom for lit in clause.body if not lit.negated]
+class _ClauseJoin:
+    """What ground() needs of one source clause: the join plan for each
+    positive literal as the delta, and templates for the instance."""
 
-    def rec(i, binding):
-        if i == len(positives):
-            yield binding
+    def __init__(self, clause, probed):
+        self.clause = clause
+        self.positives = [lit.atom for lit in clause.body if not lit.negated]
+        slots = {}
+        for atom in self.positives:
+            for t in atom.args:
+                if isinstance(t, Var):
+                    slots.setdefault(t, len(slots))
+        self.n_slots = len(slots)
+        self.unbound = [v for v in clause.variables() if v not in slots]
+        self.plans = [
+            _plan(self.positives, i, slots, probed) for i in range(len(self.positives))
+        ]
+        if self.unbound:
             return
-        pat = positives[i]
-        for ground in atoms_by_pred.get((pat.pred, len(pat.args)), ()):
-            nb = _match(pat, ground, binding)
-            if nb is not None:
-                yield from rec(i + 1, nb)
+        self.heads = [(_template(a, slots), p) for a, p in clause.heads]
+        self.body = [
+            lit if lit.atom.is_ground() else (_template(lit.atom, slots), lit.negated)
+            for lit in clause.body
+        ]
 
-    yield from rec(0, {})
+    def instance(self, env):
+        """(heads, body) under the slot values env."""
+        if self.unbound:
+            raise GroundingError(
+                "clause %d: unbound variable %s" % (self.clause.clause_id, self.unbound[0])
+            )
+        heads = tuple((_fill(t, env), p) for t, p in self.heads)
+        body = tuple(
+            t if isinstance(t, Literal) else Literal(_fill(t[0], env), t[1])
+            for t in self.body
+        )
+        return heads, body
 
 
 def ground(program):
-    """Compute the relevant ground program; deterministic for a fixed input."""
+    """Compute the possible-atom ground program by semi-naive evaluation;
+    deterministic for a fixed input (see the module docstring for the
+    order)."""
     non_ground = [cl for cl in program.clauses if cl.variables()]
     if non_ground and not program.constants():
         raise GroundingError(
@@ -136,51 +205,89 @@ def ground(program):
             % non_ground[0].clause_id
         )
 
-    atoms = {}  # ground Atom -> None, insertion ordered
-    atoms_by_pred = {}
-    instances = {cl.clause_id: {} for cl in program.clauses}  # key -> (heads, body)
+    probed = set()  # (pred, arity, position) some literal probes while bound
+    joins = [_ClauseJoin(cl, probed) for cl in program.clauses]
+    triggers = {}  # (pred, arity) -> [(clause number, positive literal number)]
+    for ci, cj in enumerate(joins):
+        for j, atom in enumerate(cj.positives):
+            triggers.setdefault((atom.pred, len(atom.args)), []).append((ci, j))
 
-    def add_atom(a):
-        if a not in atoms:
-            atoms[a] = None
-            atoms_by_pred.setdefault((a.pred, len(a.args)), []).append(a)
-            return True
-        return False
+    atoms = []  # atom number -> Atom, in derivation order
+    known = set()
+    index = {}  # (pred, arity[, position, constant]) -> ascending atom numbers
+    instances = [[] for _ in joins]  # per clause: (heads, body) in grounding order
 
-    changed = True
-    while changed:
-        changed = False
-        for cl in program.clauses:
-            for binding in _substitutions(cl, atoms_by_pred):
-                try:
-                    heads = tuple((_subst_atom(a, binding), p) for a, p in cl.heads)
-                    body = tuple(
-                        Literal(_subst_atom(l.atom, binding), l.negated)
-                        for l in cl.body
-                    )
-                except KeyError as exc:
-                    raise GroundingError(
-                        "clause %d: unbound variable %s" % (cl.clause_id, exc)
-                    ) from exc
-                key = (heads, body)
-                if key not in instances[cl.clause_id]:
-                    instances[cl.clause_id][key] = (heads, body)
-                    changed = True
-                for a, _ in heads:
-                    if add_atom(a):
-                        changed = True
+    def add_instance(ci, inst):
+        instances[ci].append(inst)
+        for a, _ in inst[0]:
+            if a in known:
+                continue
+            known.add(a)
+            n = len(atoms)
+            atoms.append(a)
+            key = (a.pred, len(a.args))
+            index.setdefault(key, []).append(n)
+            for pos, t in enumerate(a.args):
+                if key + (pos,) in probed:
+                    index.setdefault(key + (pos, t), []).append(n)
+
+    def join(steps, k, ranges, env, chosen, found, cj):
+        if k == len(steps):
+            found.append((tuple(chosen), cj.instance(env)))
+            return
+        j, key, probe, ops = steps[k]
+        if probe is not None:
+            pos, kind, val = probe
+            key = key + (pos, env[val] if kind else val)
+        bucket = index.get(key)
+        if not bucket:
+            return
+        lo, hi = ranges[j]
+        for n in bucket[bisect_left(bucket, lo) if lo else 0:bisect_left(bucket, hi)]:
+            args = atoms[n].args
+            for pos, kind, val in ops:
+                if kind == 2:
+                    env[val] = args[pos]
+                elif (env[val] if kind else val) != args[pos]:
+                    break
+            else:
+                chosen[j] = n
+                join(steps, k + 1, ranges, env, chosen, found, cj)
+
+    for ci, cj in enumerate(joins):  # round 0
+        if not cj.positives:
+            add_instance(ci, cj.instance(()))
+    lo = 0
+    while lo < len(atoms):
+        hi = len(atoms)  # atoms [lo, hi) are the last round's delta
+        gained = {(a.pred, len(a.args)) for a in atoms[lo:hi]}
+        fire = sorted({t for key in gained for t in triggers.get(key, ())})
+        for ci, group in groupby(fire, key=itemgetter(0)):
+            cj = joins[ci]
+            found = []
+            env = [None] * cj.n_slots
+            chosen = [None] * len(cj.positives)
+            for _, i in group:
+                ranges = [(0, lo)] * i + [(lo, hi)] + [(0, hi)] * (len(chosen) - i - 1)
+                join(cj.plans[i], 0, ranges, env, chosen, found, cj)
+            found.sort(key=itemgetter(0))
+            for _, inst in found:
+                add_instance(ci, inst)
+        lo = hi
 
     ground_clauses = []
     choice_vars = []
-    for cl in program.clauses:
-        for gid, (heads, body) in enumerate(instances[cl.clause_id].values()):
+    for cl, insts in zip(program.clauses, instances):
+        null_prob = cl.null_prob
+        deterministic = cl.is_deterministic
+        for gid, (heads, body) in enumerate(insts):
             cv_index = None
-            if not cl.is_deterministic:
+            if not deterministic:
                 ground_heads = tuple(a for a, _ in heads)
                 probs = tuple(p for _, p in heads)
-                if cl.has_null:
+                if null_prob > 0.0:
                     ground_heads = (NULL,) + ground_heads
-                    probs = (cl.null_prob,) + probs
+                    probs = (null_prob,) + probs
                 cv_index = len(choice_vars)
                 choice_vars.append(
                     ChoiceVariable(
@@ -199,11 +306,11 @@ def ground(program):
                     grounding_id=gid,
                     heads=heads,
                     body=body,
-                    null_prob=cl.null_prob,
+                    null_prob=null_prob,
                     cv_index=cv_index,
                 )
             )
-    return GroundProgram(program, ground_clauses, choice_vars, atoms.keys())
+    return GroundProgram(program, ground_clauses, choice_vars, atoms)
 
 
 def _components(nodes, succ):

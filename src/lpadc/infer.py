@@ -42,6 +42,9 @@ class InferError(Exception):
 @dataclass
 class InferenceStats:
     kernel: str = ""
+    ground_atoms: int = 0
+    ground_clauses: int = 0
+    choice_vars: int = 0
     bool_vars: int = 0
     bdd_nodes: int = 0
     fixpoint_iterations: int = 0
@@ -50,11 +53,28 @@ class InferenceStats:
     def to_json_dict(self):
         return {
             "kernel": self.kernel,
+            "ground_atoms": self.ground_atoms,
+            "ground_clauses": self.ground_clauses,
+            "choice_vars": self.choice_vars,
             "bool_vars": self.bool_vars,
             "bdd_nodes": self.bdd_nodes,
             "fixpoint_iterations": self.fixpoint_iterations,
             "wall_time_s": self.wall_time_s,
         }
+
+
+def _stats(cp, nodes, start):
+    gp = cp.gp
+    return InferenceStats(
+        kernel=cp.manager.kernel_name,
+        ground_atoms=len(gp.atoms),
+        ground_clauses=len(gp.ground_clauses),
+        choice_vars=len(gp.choice_vars),
+        bool_vars=cp.manager.num_vars,
+        bdd_nodes=nodes,
+        fixpoint_iterations=cp.stats.fixpoint_iterations,
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
 @dataclass
@@ -132,13 +152,7 @@ def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=No
         joint = qref & eref
         nodes = joint.node_count()
         value = cp.manager.prob(joint) / p_ev
-    stats = InferenceStats(
-        kernel=cp.manager.kernel_name,
-        bool_vars=cp.manager.num_vars,
-        bdd_nodes=nodes,
-        fixpoint_iterations=cp.stats.fixpoint_iterations,
-        wall_time_s=time.perf_counter() - start,
-    )
+    stats = _stats(cp, nodes, start)
     return InferenceResult("prob", value, _log(value), True, None, stats)
 
 
@@ -182,13 +196,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
         if p_ev <= 0.0:
             raise InferError("evidence probability underflows to zero")
         log_value -= math.log(p_ev)
-    stats = InferenceStats(
-        kernel=cp.manager.kernel_name,
-        bool_vars=cp.manager.num_vars,
-        bdd_nodes=eref.node_count(),
-        fixpoint_iterations=cp.stats.fixpoint_iterations,
-        wall_time_s=time.perf_counter() - start,
-    )
+    stats = _stats(cp, eref.node_count(), start)
     return InferenceResult(
         task, math.exp(log_value), log_value, normalize, assignment, stats
     )

@@ -1,18 +1,24 @@
+import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
+from lpadc import benchgen
 from lpadc.grounder import (
     GroundingError,
     StratificationError,
     format_ground,
     ground,
 )
+from lpadc.model import Atom, Literal, Var
 from lpadc.parser import parse_atom, parse_program
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def gp_of(src):
@@ -142,19 +148,21 @@ def test_negative_cycle_rejected():
             gp.strata()
 
 
+def _chain_src(n, top_down):
+    rules = ["p%d :- p%d.\n" % (i, i - 1) for i in range(1, n + 1)]
+    return "p0:0.5.\n" + "".join(reversed(rules) if top_down else rules)
+
+
 def test_stratify_chain_deeper_than_recursion_limit():
-    # listed from the fact upward, so grounding finishes in two rounds
     n = 3 * sys.getrecursionlimit()
-    src = "p0:0.5.\n" + "".join("p%d :- p%d.\n" % (i, i - 1) for i in range(1, n + 1))
-    strata = gp_of(src).strata()
+    strata = gp_of(_chain_src(n, top_down=False)).strata()
     assert len(strata.levels) == n + 1
     assert not any(strata.cyclic)
     assert [strata.index[parse_atom("p%d" % i)] for i in (0, n)] == [0, n]
 
 
 def test_import_does_not_load_networkx():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     code = "import lpadc, sys; sys.exit('networkx' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -179,3 +187,136 @@ def test_format_ground_marks_choice_vars(ex1):
     text = format_ground(gp_of(ex1))
     assert "% cv(0,0)" in text
     assert "% cv(1,0)" in text
+
+
+def test_chain_listed_top_down_grounds_in_linear_time():
+    # one rule fires per round, however the rules are listed
+    program = parse_program(_chain_src(1000, top_down=True))
+    start = time.perf_counter()
+    gp = ground(program)
+    assert time.perf_counter() - start < 1.0
+    bottom_up = ground(parse_program(_chain_src(1000, top_down=False)))
+    assert {(gc.heads, gc.body) for gc in gp.ground_clauses} == {
+        (gc.heads, gc.body) for gc in bottom_up.ground_clauses
+    }
+    assert len(gp.ground_clauses) == 1001
+
+
+# sha256 of format_ground, which pins the instance numbering and so the
+# choice-variable (and Boolean variable) order on the benchmark shapes
+@pytest.mark.parametrize(
+    "family,size,digest",
+    [
+        ("graph", 30, "ffc8252b068d4186914353238a6995dd6f081565e03f1c0e95acdab47a1dd9a6"),
+        ("gh", 9, "7f17ffa0eb0a863f645949b18e91f3fcba4d9167837d20caf1ff6d6af1576131"),
+        ("blood", 2, "0cf99955a2a1011fd20395fe3772388276b1c455220b5835377c48428af762a9"),
+    ],
+)
+def test_benchmark_shapes_keep_their_ground_order(family, size, digest):
+    text = format_ground(ground(benchgen.generate(family, size, 0)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_PREDS = (("p", 1), ("q", 2), ("r", 1), ("s", 2), ("t", 0), ("u", 3))
+_VARS = ("X", "Y", "Z")
+
+
+def _random_first_order_src(seed):
+    """Facts, then rules over a shared predicate pool (so rules recurse),
+    with repeated variables, constants in bodies, negated literals and
+    multi-head clauses; every head and negated variable occurs in a positive
+    body literal."""
+    rng = random.Random(seed)
+    consts = rng.sample(["a", "b", "c", "1", "2"], rng.randint(2, 3))
+
+    def atom(names):
+        pred, arity = rng.choice(_PREDS)
+        args = [
+            rng.choice(names) if names and rng.random() < 0.75 else rng.choice(consts)
+            for _ in range(arity)
+        ]
+        return args, "%s(%s)" % (pred, ",".join(args)) if arity else pred
+
+    lines = ["p(%s)." % consts[0]]  # so the program has a constant
+    for _ in range(rng.randint(2, 7)):
+        text = atom(())[1]
+        lines.append(text + (":%r." % rng.choice([0.3, 0.8]) if rng.random() < 0.5 else "."))
+    for _ in range(rng.randint(1, 6)):
+        body = [atom(_VARS) for _ in range(rng.choice([1, 1, 2, 2, 3]))]
+        bound = sorted({t for args, _ in body for t in args if t in _VARS})
+        texts = [text for _, text in body]
+        texts += ["\\+ " + atom(bound)[1] for _ in range(rng.choice([0, 0, 1]))]
+        heads = [atom(bound)[1] for _ in range(rng.choice([1, 1, 2]))]
+        if len(heads) == 1 and rng.random() < 0.5:
+            head = heads[0]
+        else:
+            head = "; ".join("%s:%r" % (h, 0.9 / len(heads)) for h in heads)
+        lines.append("%s :- %s." % (head, ", ".join(texts)))
+    return "\n".join(lines) + "\n"
+
+
+def _brute_force_ground(program):
+    """Least fixpoint over every substitution of constants for a clause's
+    variables: an instance is kept when all its positive body atoms are
+    possible atoms, and its heads become possible atoms."""
+    consts = program.constants()
+    kept, possible = set(), set()
+    changed = True
+    while changed:
+        changed = False
+        for cl in program.clauses:
+            names = sorted({v.name for v in cl.variables()})
+            for values in itertools.product(consts, repeat=len(names)):
+                sub = {Var(n): c for n, c in zip(names, values)}
+
+                def inst(a):
+                    return Atom(a.pred, tuple(sub.get(t, t) for t in a.args))
+
+                body = tuple(Literal(inst(lit.atom), lit.negated) for lit in cl.body)
+                if any(not lit.negated and lit.atom not in possible for lit in body):
+                    continue
+                heads = tuple((inst(a), p) for a, p in cl.heads)
+                if (cl.clause_id, heads, body) not in kept:
+                    kept.add((cl.clause_id, heads, body))
+                    changed = True
+                for a, _ in heads:
+                    if a not in possible:
+                        possible.add(a)
+                        changed = True
+    return kept, possible
+
+
+def test_ground_matches_brute_force_fixpoint():
+    chained = 0
+    for seed in range(300):
+        program = parse_program(_random_first_order_src(seed))
+        gp = ground(program)
+        got = [(gc.clause_id, gc.heads, gc.body) for gc in gp.ground_clauses]
+        want, possible = _brute_force_ground(program)
+        assert len(got) == len(set(got)), seed
+        assert set(got) == want, seed
+        assert len(gp.atoms) == len(set(gp.atoms))
+        assert set(gp.atoms) == possible, seed
+        ids = {}
+        for gc in gp.ground_clauses:
+            assert gc.grounding_id == ids.get(gc.clause_id, 0)
+            ids[gc.clause_id] = gc.grounding_id + 1
+        derived = {a for gc in gp.ground_clauses if gc.body for a, _ in gc.heads}
+        chained += any(
+            not lit.negated and lit.atom in derived
+            for gc in gp.ground_clauses
+            for lit in gc.body
+        )
+    assert chained > 100  # rules often join against what rules derived
+
+
+def test_benchmark_references_agree_with_oracle():
+    # perfbench/check.py compares the benchmark's engine-independent
+    # references with the oracle, which runs on this grounder
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "check.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "references agree with the oracle" in proc.stdout

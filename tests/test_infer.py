@@ -133,6 +133,8 @@ def test_stats_populated(kernel, ex1):
     res = prob_result(parse_program(ex1), parse_atom("ev"), kernel=kernel)
     s = res.stats
     assert s.kernel == kernel
+    # pick(b1), no_pick(b1), red(b1), green(b1), blue(b1) and ev
+    assert (s.ground_atoms, s.ground_clauses, s.choice_vars) == (6, 3, 2)
     assert s.bool_vars == 3  # order encoding: 3 + 2 heads -> 2 + 1 chain vars
     assert s.bdd_nodes > 0
     assert s.fixpoint_iterations >= 1
@@ -150,6 +152,9 @@ def test_json_shape(kernel, ex2):
     assert [r["clause"] for r in d["assignment"]] == [0, 1]
     assert set(d["stats"]) == {
         "kernel",
+        "ground_atoms",
+        "ground_clauses",
+        "choice_vars",
         "bool_vars",
         "bdd_nodes",
         "fixpoint_iterations",
