@@ -80,7 +80,9 @@ def _cmd_prob(args):
         program, query, kernel=args.kernel, node_cap=args.node_cap, gp=gp
     )
     if args.dot:
-        cp = compile_program(gp, task="prob", kernel=args.kernel, node_cap=args.node_cap)
+        roots = [query] + [lit.atom for lit in program.evidence]
+        cp = compile_program(gp, task="prob", kernel=args.kernel,
+                             node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, [Literal(query)]))
     _emit(args, result)
     return 0
@@ -101,7 +103,9 @@ def _cmd_best(args, task):
     else:
         result = infer.map_query(program, **kw)
     if args.dot:
-        cp = compile_program(gp, task=task, kernel=args.kernel, node_cap=args.node_cap)
+        roots = [lit.atom for lit in program.evidence]
+        cp = compile_program(gp, task=task, kernel=args.kernel,
+                             node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, list(program.evidence)))
     _emit(args, result)
     return 0
@@ -159,11 +163,12 @@ def _cmd_ground(args):
 def _cmd_dot(args):
     program = _read_program(args)
     gp = ground(program)
-    cp = compile_program(gp, task=args.task, kernel=args.kernel, node_cap=args.node_cap)
     if args.task == "prob":
         literals = [Literal(_query_atom(args, program))]
     else:
         literals = list(program.evidence)
+    cp = compile_program(gp, task=args.task, kernel=args.kernel,
+                         node_cap=args.node_cap, roots=[lit.atom for lit in literals])
     ref = compile_query(cp, literals)
     text = cp.manager.to_dot(ref)
     if args.out:

@@ -8,10 +8,21 @@ any, last.  Weights are conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on
 the 1-branch and 1 - pi_k on the 0-branch, so each variable's two weights
 sum to 1 and weighted counting sums each value exactly once.
 
-MPE and MAP use the same encoding.  The only difference is the variable
-order: the query choice variables' chains are created first, so they sit on
-the top levels of the diagram, which is the layout the max-product pass in
-BddManager.map_best needs.
+Chains are created in the variable order of the diagram.  By default the
+non-query chains follow post_order from the atoms the caller is about to
+compile: a depth-first walk that creates a clause's choice variable after
+the variables of every clause deriving its body atoms, so inputs come before
+the gates that use them (Fujita, Fujisawa and Kawato, ICCAD 1988).  On gh 10
+that keeps the marginal's diagram at 55 nodes, where index order builds
+5,120.  A reduced BDD is canonical for a fixed order, so the order changes
+sizes and times, never values.
+
+MPE and MAP use the same encoding.  Their query choice variables' chains are
+created first, in index order (or the caller's creation_order), so they sit
+on the top levels of the diagram, which is the layout the max-product pass
+in BddManager.map_best needs.  That pass breaks ties towards the 1-branch of
+the top query chain, so the reported maximiser among equal ones depends on
+the order of the query chains, and that order is left alone.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to
@@ -37,8 +48,9 @@ class CompileError(Exception):
 class Encoding:
     """Boolean variable chains for every choice variable of a ground program.
 
-    The query choice variables' chains are created first, in the relative
-    order of creation_order (default: index order), then the rest.
+    The query choice variables' chains are created first, then the rest, each
+    part in the relative order of creation_order (default: index order);
+    compile_program passes the post-order of its root atoms.
     """
 
     def __init__(self, manager, gp, query_cvs, creation_order=None):
@@ -123,6 +135,37 @@ class CompiledProgram:
         return self.encoding.query_cvs
 
 
+def post_order(gp, atoms):
+    """Choice-variable indices in depth-first post-order from the given atoms:
+    the walk follows every ground clause that derives an atom, visits the
+    clause's body atoms, and only then emits its choice variable.  Variables
+    the walk never reaches follow in index order.  An explicit stack keeps
+    long derivation chains clear of the recursion limit."""
+    order = []
+    seen_atoms = set()
+    seen_clauses = set()
+    # a frame is (clause, items, items are atoms): a clause (None for the
+    # roots) with its body atoms, or an atom's (clause, head position) pairs
+    work = [(None, iter(atoms), True)]
+    while work:
+        gi, items, of_atoms = work[-1]
+        item = next(items, None)
+        if item is None:
+            work.pop()
+            if gi is not None and gp.ground_clauses[gi].cv_index is not None:
+                order.append(gp.ground_clauses[gi].cv_index)
+        elif of_atoms:
+            if item not in seen_atoms:
+                seen_atoms.add(item)
+                work.append((None, iter(gp.rules_by_head.get(item, ())), False))
+        elif item[0] not in seen_clauses:
+            seen_clauses.add(item[0])
+            body = (lit.atom for lit in gp.ground_clauses[item[0]].body)
+            work.append((item[0], body, True))
+    reached = set(order)
+    return order + [ci for ci in range(len(gp.choice_vars)) if ci not in reached]
+
+
 def compile_program(
     gp,
     task="prob",
@@ -131,12 +174,15 @@ def compile_program(
     node_cap=None,
     manager=None,
     creation_order=None,
+    roots=(),
 ):
     """Set up the Boolean encoding for a ground program.
 
     query_cvs (choice-variable indices) defaults to the map_query-flagged
     variables for task "map" and to all variables for "mpe"; their chains
-    are created first, so they sit on the top levels.
+    are created first, so they sit on the top levels.  Without a
+    creation_order the query chains keep index order and the rest follow
+    post_order(gp, roots); roots are the atoms the caller will compile.
     """
     if task not in TASK_MODES:
         raise CompileError("unknown task %r" % task)
@@ -160,6 +206,9 @@ def compile_program(
         if node_cap is not None:
             kwargs["node_cap"] = node_cap
         manager = BddManager(kernel=kernel, **kwargs)
+    if creation_order is None:
+        rest = [ci for ci in post_order(gp, roots) if ci not in query]
+        creation_order = sorted(query) + rest
     encoding = Encoding(manager, gp, query, creation_order)
     return CompiledProgram(gp, manager, encoding, task)
 

@@ -1,7 +1,8 @@
 """Marginal, MPE and MAP inference over compiled programs.
 
 All three tasks compile the program under one encoding, where each choice
-variable is a chain of Boolean variables (see lpadc.compiler).  Marginals
+variable is a chain of Boolean variables (see lpadc.compiler), created in
+post-order from the query and evidence atoms.  Marginals
 are weighted counts of the query BDD.  MPE and MAP put the query choice
 variables' chains on the top levels and run one max-product pass over the
 evidence BDD (BddManager.map_best): within a query chain it maximizes over
@@ -140,7 +141,8 @@ def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=No
     if query is None:
         raise InferError("the prob task needs a query atom")
     gp = _ground(program, gp)
-    cp = compile_program(gp, task="prob", kernel=kernel, node_cap=node_cap)
+    cp = compile_program(gp, task="prob", kernel=kernel, node_cap=node_cap,
+                         roots=[query] + [lit.atom for lit in ev])
     qref = compile_query(cp, [Literal(query)])
     value = cp.manager.prob(qref)
     nodes = qref.node_count()
@@ -183,6 +185,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
         kernel=kernel,
         node_cap=node_cap,
         creation_order=creation_order,
+        roots=[lit.atom for lit in ev],
     )
     eref = compile_query(cp, list(ev))
     if eref.is_false:

@@ -141,13 +141,22 @@ def _group_order(cp):
 
 
 def test_criterion_6_encoding_equivalence(suite500):
-    # every task uses the order encoding; MPE and MAP only create the query
-    # chains first, so this is an order-only identity check
-    reordered = 0
+    # every task uses the order encoding; prob_result creates the chains in
+    # post-order from the query and evidence atoms, and MPE and MAP create
+    # the query chains first, so these are order-only identity checks
+    reordered = post_ordered = 0
     for case in suite500:
         lits = [Literal(case.query)] + list(case.evidence)
-        default = compile_program(case.gp, task="prob")
+        default = compile_program(
+            case.gp, task="prob", creation_order=range(len(case.gp.choice_vars))
+        )
         p_default = default.manager.prob(compile_query(default, lits))
+        post = compile_program(case.gp, task="prob", roots=[lit.atom for lit in lits])
+        f = compile_query(post, lits)
+        p_post = post.manager.prob(f)
+        assert p_post == pytest.approx(p_default, abs=1e-9), case.src
+        assert post.manager.wmc(f) == pytest.approx(p_post, abs=1e-12), case.src
+        post_ordered += _group_order(post) != _group_order(default)
         # mpe puts every chain first, so it covers programs that have no
         # choice variable to pick a MAP subset from
         query_cvs = map_subset(case)
@@ -161,8 +170,10 @@ def test_criterion_6_encoding_equivalence(suite500):
         assert first.manager.wmc(f) == pytest.approx(p_first, abs=1e-12), case.src
         reordered += _group_order(first) != _group_order(default)
     assert reordered > 0
-    print("criterion 6: PASS (query-first and default order agree and prob == "
-          "wmc on all 500 programs; the orders differ on %d)" % reordered)
+    assert post_ordered > 0
+    print("criterion 6: PASS (post-order, query-first and index order agree "
+          "and prob == wmc on all 500 programs; post-order differs from index "
+          "order on %d, query-first on %d)" % (post_ordered, reordered))
 
 
 def test_criterion_7_kernel_properties():

@@ -205,7 +205,8 @@ def test_run_bench_reports_errors():
 
 
 def test_run_bench_memcap():
-    row = run_bench(BenchSpec("graph", 20, 0, "prob", node_cap=16))
+    # graph 20 fits in 16 nodes under the post-order; graph 40 does not
+    row = run_bench(BenchSpec("graph", 40, 0, "prob", node_cap=16))
     assert row.status == "memcap"
     assert row.value is None
 

@@ -235,7 +235,8 @@ def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
 
 def test_node_cap_is_exit_2(capsys, tmp_path):
     path = tmp_path / "wide.lpad"
-    path.write_text(format_program(gen_graph(20, seed=0)))
+    # graph 20 fits in 16 nodes under the post-order; graph 40 does not
+    path.write_text(format_program(gen_graph(40, seed=0)))
     code, _, err = run(capsys, "prob", str(path), "--node-cap", "16")
     assert code == 2
     assert err.startswith("error:")

@@ -1,6 +1,7 @@
 """Boolean encodings of ground programs and formula compilation."""
 
 import math
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from lpadc.compiler import (
     compile_atom,
     compile_program,
     compile_query,
+    post_order,
 )
 from lpadc.grounder import ground
 from lpadc.model import Literal
@@ -267,3 +269,123 @@ def test_encodings_agree_on_random_programs(kernel):
         p_first = first.manager.prob(f)
         assert p_first == pytest.approx(p_default, abs=1e-9), case.src
         assert first.manager.wmc(f) == pytest.approx(p_first, abs=1e-12), case.src
+
+
+# ---------------------------------------------------------------------------
+# post-order creation of the non-query chains
+
+
+def _reached_cvs(gp, atoms):
+    """Choice variables of the clauses deriving any atom reachable from atoms."""
+    seen, stack, cvs = set(), list(atoms), set()
+    while stack:
+        a = stack.pop()
+        if a in seen:
+            continue
+        seen.add(a)
+        for gi, _ in gp.rules_by_head.get(a, ()):
+            gc = gp.ground_clauses[gi]
+            if gc.cv_index is not None:
+                cvs.add(gc.cv_index)
+            stack.extend(lit.atom for lit in gc.body)
+    return cvs
+
+
+def _layered_src(seed, n=12):
+    """An acyclic program whose annotated rules have bodies: a_i's clauses
+    use atoms a_j with j < i, listed in shuffled order."""
+    import random
+
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        for _ in range(rng.randint(1, 2)):
+            k = min(i, rng.randint(0, 2))
+            body = ", ".join("a%d" % j for j in rng.sample(range(i), k))
+            lines.append("a%d:%.2f%s." % (i, rng.uniform(0.1, 0.9), " :- " + body if body else ""))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _order_cases():
+    from lpadc.benchgen import gen_blood, gen_gh, gen_graph
+    from lpadc.parser import parse_atom
+
+    for seed in range(200):
+        case = random_case(seed)
+        yield case.gp, [case.query] + [lit.atom for lit in case.evidence]
+    for seed in range(50):
+        yield _gp(_layered_src(seed)), [parse_atom("a11")]
+    for program in (gen_gh(6, 0), gen_blood(2, 0), gen_graph(12, 0)):
+        yield ground(program), list(program.queries)
+
+
+def test_post_order_reached_prefix_then_index_order():
+    for gp, roots in _order_cases():
+        order = post_order(gp, roots)
+        n = len(gp.choice_vars)
+        assert sorted(order) == list(range(n))
+        reached = _reached_cvs(gp, roots)
+        assert set(order[: len(reached)]) == reached
+        assert order[len(reached):] == sorted(set(range(n)) - reached)
+    gp = _gp("a:0.5.\nb:0.5.\nc :- b.\nd:0.5 :- c.\ne:0.5.\n")
+    from lpadc.parser import parse_atom
+
+    assert post_order(gp, [parse_atom("d")]) == [1, 2, 0, 3]
+    assert post_order(gp, []) == [0, 1, 2, 3]
+
+
+def test_post_order_puts_body_variables_first():
+    # on acyclic programs a clause's variable follows every variable that
+    # derives an atom reachable through its body
+    checked = 0
+    for gp, roots in _order_cases():
+        if any(gp.strata().cyclic):
+            continue
+        position = {ci: i for i, ci in enumerate(post_order(gp, roots))}
+        reached = _reached_cvs(gp, roots)
+        for gc in gp.ground_clauses:
+            if gc.cv_index not in reached:
+                continue
+            below = _reached_cvs(gp, [lit.atom for lit in gc.body])
+            assert all(position[cj] < position[gc.cv_index] for cj in below)
+            checked += len(below)
+    assert checked > 800
+
+
+def test_post_order_chain_deeper_than_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+    rules = "".join("p%d:0.5 :- p%d.\n" % (i, i - 1) for i in range(1, n + 1))
+    gp = _gp("p0:0.5.\n" + rules)
+    from lpadc.parser import parse_atom
+
+    assert post_order(gp, [parse_atom("p%d" % n)]) == list(range(n + 1))
+
+
+def test_max_tasks_keep_query_chains_in_index_order(monkeypatch):
+    # ties in map_best depend on the order of the query chains, so MPE and
+    # MAP create them in index order; only the other chains are post-ordered
+    import lpadc.infer
+    from lpadc.benchgen import gen_gh
+    from lpadc.infer import map_query, mpe
+
+    compiled = []
+
+    def recording(*args, **kwargs):
+        compiled.append(compile_program(*args, **kwargs))
+        return compiled[-1]
+
+    monkeypatch.setattr(lpadc.infer, "compile_program", recording)
+    program = gen_gh(6, 0)
+    gp = ground(program)
+    n = len(gp.choice_vars)
+    query_cvs = list(range(0, n, 2))
+    rest = [ci for ci in post_order(gp, program.queries) if ci not in query_cvs]
+    assert rest != sorted(rest)  # the post-order is a real reordering here
+    mpe(program, gp=gp)
+    map_query(program, query_cvs=query_cvs, gp=gp)
+    for cp, want in zip(compiled, (list(range(n)), query_cvs + rest)):
+        m = cp.manager
+        assert [m.var_info(v).group for v in m.level_order()] == [
+            ci for ci in want for _ in cp.encoding.group_vars(ci)
+        ]

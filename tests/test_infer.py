@@ -211,6 +211,22 @@ def test_decode_defaults_to_most_probable_head(kernel):
     assert str(cv.ground_heads[k]) == "b"
 
 
+@pytest.mark.parametrize(
+    "family,size,max_nodes",
+    # index order builds 5,120 nodes on gh 10 and passes 4M on blood 3
+    [("gh", 10, 60), ("blood", 3, 100), ("gh", 20, 250)],
+)
+def test_post_order_keeps_marginal_diagrams_small(kernel, family, size, max_nodes):
+    from lpadc.benchgen import generate
+
+    program = generate(family, size, 0)
+    # the cap makes a worse order fail in seconds instead of filling memory
+    res = prob_result(program, program.queries[0], evidence=[], kernel=kernel,
+                      node_cap=200_000)
+    assert 0.0 < res.value <= 1.0
+    assert res.stats.bdd_nodes <= max_nodes
+
+
 def test_map_assignment_covers_only_query_variables(kernel, ex3):
     res = map_query(parse_program(ex3), evidence=EV, kernel=kernel)
     assert [cv.clause_id for cv, _ in res.assignment.entries] == [1]
