@@ -217,10 +217,11 @@ def generate(family, size, seed):
 def _run_task(spec):
     """Generate, ground, and solve one instance; returns (value, status)."""
     program = generate(spec.family, spec.size, spec.seed)
-    gp = ground(program)
+    query = program.queries[0]
+    gp = ground(program, [query] if spec.task == "prob" else None)
     kw = {"kernel": spec.kernel, "node_cap": spec.node_cap, "gp": gp}
     if spec.task == "prob":
-        result = prob_result(program, program.queries[0], evidence=[], **kw)
+        result = prob_result(program, query, evidence=[], **kw)
     elif spec.task == "mpe":
         result = mpe(program, **kw)
     else:

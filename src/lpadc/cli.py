@@ -20,6 +20,9 @@ from .model import Assignment, Literal
 from .parser import ParseError, parse_atom, parse_literal, parse_program
 
 
+_ALARM_REPEAT_S = 0.1
+
+
 class _Timeout(Exception):
     pass
 
@@ -74,13 +77,13 @@ def _write_dot(args, cp, ref):
 def _cmd_prob(args):
     program = _read_program(args)
     query = _query_atom(args, program)
-    gp = ground(program)
+    roots = [query] + [lit.atom for lit in program.evidence]
+    gp = ground(program, roots)
     _dump_ground(args, gp)
     result = infer.prob_result(
         program, query, kernel=args.kernel, node_cap=args.node_cap, gp=gp
     )
     if args.dot:
-        roots = [query] + [lit.atom for lit in program.evidence]
         cp = compile_program(gp, task="prob", kernel=args.kernel,
                              node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, [Literal(query)]))
@@ -162,13 +165,14 @@ def _cmd_ground(args):
 
 def _cmd_dot(args):
     program = _read_program(args)
-    gp = ground(program)
     if args.task == "prob":
         literals = [Literal(_query_atom(args, program))]
     else:
         literals = list(program.evidence)
+    roots = [lit.atom for lit in literals]
+    gp = ground(program, roots if args.task == "prob" else None)
     cp = compile_program(gp, task=args.task, kernel=args.kernel,
-                         node_cap=args.node_cap, roots=[lit.atom for lit in literals])
+                         node_cap=args.node_cap, roots=roots)
     ref = compile_query(cp, literals)
     text = cp.manager.to_dot(ref)
     if args.out:
@@ -248,7 +252,8 @@ def build_parser():
     p.add_argument("task", choices=("prob", "mpe", "map"))
     _add_common(p, query_flag=True)
 
-    p = subs.add_parser("ground", help="print the relevant ground program")
+    p = subs.add_parser("ground", help="print the ground program of every "
+                        "possible atom")
     _add_common(p)
 
     p = subs.add_parser("dot", help="write a compiled BDD as DOT")
@@ -294,7 +299,9 @@ def main(argv=None):
     old = None
     if timeout and args.command != "bench":
         old = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
+        # the alarm repeats until handled: Python drops an exception raised
+        # inside a finalizer such as BddRef.__del__, so one alarm can be lost
+        signal.setitimer(signal.ITIMER_REAL, timeout, _ALARM_REPEAT_S)
     try:
         return handler(args)
     except (ParseError, GroundingError, StratificationError, CompileError,
@@ -302,6 +309,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except _Timeout:
+        signal.setitimer(signal.ITIMER_REAL, 0)
         print("error: timed out after %ss" % timeout, file=sys.stderr)
         return 2
     except NodeLimitError as exc:

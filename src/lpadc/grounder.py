@@ -3,8 +3,11 @@
 Grounding keeps a clause instance only when every positive body atom is a
 possible atom: a head of some kept instance, so derivable under some
 selection.  Negative literals are ignored while matching, which
-over-approximates but never loses an instance some world uses.  Every
-possible atom is grounded, whether or not the query depends on it.
+over-approximates but never loses an instance some world uses.
+ground(program) grounds every possible atom; ground(program, demand) returns
+only the part the demanded ground atoms depend on (their backward cone): the
+instances with a head in the cone, where the cone holds the demanded atoms
+and every body atom, positive or negated, of those instances.
 
 The possible atoms are a least fixpoint, computed by semi-naive evaluation
 (Bancilhon & Ramakrishnan, SIGMOD 1986) in rounds.  Round 0 fires the
@@ -19,15 +22,38 @@ constant) for the first argument already bound when a literal is joined,
 and on (pred, arity) when none is; only positions some literal probes while
 bound are indexed.
 
+With a demand, a static adornment pass first follows the calls from the
+demanded atoms, passing bindings left to right through each clause body,
+negated literals after the positive ones (sideways information passing).
+If some predicate defined by a clause with variables is called with a free
+argument (reachability: path(0, 99) calls path(0, Z)), the program is
+evaluated under the demand (magic-set) rewrite (Beeri & Ramakrishnan, PODS
+1987): every called clause with variables gets one guarded copy per set of
+head variables its calls bind, fed by one rule per (head, call adornment),
+and each body literal of such a predicate gets a demand rule from the guard
+and the positive literals before it; clauses with variables that no call
+reaches are dropped.  Variable-free clauses stay
+unguarded and their body atoms are demanded outright.  Otherwise, when every
+call binds every argument, the whole program is evaluated, which is cheaper
+there.  Either way the result is pruned to the cone.  Demand and guard atoms
+use tuple predicates, which no parsed program has, and never reach the
+result.
+
 Numbering is deterministic.  Atoms are numbered as they are first derived:
 by round, then clause, then instance, then head.  A clause's instances are
 numbered (grounding_id) by round and, within a round, by the numbers of
 their positive body atoms in literal order, compared lexicographically.
+Choice variables follow their instances in clause order.  A cone is numbered
+densely in the same relative order as the whole program: its rounds are
+replayed over the cone, whose atoms have the same derivations there.
 
 The strata of the ground program are its strongly connected components
 over ground atoms, in condensation order (dependencies first), found by one
 iterative Tarjan pass; a negative edge inside a component is an error.  The
-compiler evaluates the program in the same component order.
+compiler evaluates the program in the same component order.  A cone is
+rejected exactly when the whole program would be: only when the predicate
+dependency graph has a cycle through negation is the whole program grounded
+and checked.
 """
 
 from __future__ import annotations
@@ -38,7 +64,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .model import NULL, Atom, ChoiceVariable, Literal, Var
+from .model import NULL, AnnotatedClause, Atom, ChoiceVariable, Literal, Var
 
 
 class GroundingError(Exception):
@@ -84,11 +110,12 @@ class Strata:
 
 
 class GroundProgram:
-    def __init__(self, program, ground_clauses, choice_vars, atoms):
+    def __init__(self, program, ground_clauses, choice_vars, atoms, demand=None):
         self.program = program
         self.ground_clauses = tuple(ground_clauses)
         self.choice_vars = tuple(choice_vars)
-        self.atoms = tuple(atoms)  # possible atoms in discovery order
+        self.atoms = tuple(atoms)  # the instances' heads in derivation order
+        self.demand = demand  # the demanded atoms, None for the whole program
         self.rules_by_head = {}
         for gi, gc in enumerate(self.ground_clauses):
             for pos, (a, _) in enumerate(gc.heads):
@@ -96,7 +123,12 @@ class GroundProgram:
         self._strata = None
 
     def strata(self):
+        """The strata; raises StratificationError when the whole program,
+        not only the demanded part, has a negative cycle."""
         if self._strata is None:
+            if self.demand is not None and _negative_predicate_cycle(self.program):
+                # the cycle may lie outside the demanded part
+                stratify(_ground_all(self.program))
             self._strata = stratify(self)
         return self._strata
 
@@ -194,19 +226,12 @@ class _ClauseJoin:
         return heads, body
 
 
-def ground(program):
-    """Compute the possible-atom ground program by semi-naive evaluation;
-    deterministic for a fixed input (see the module docstring for the
-    order)."""
-    non_ground = [cl for cl in program.clauses if cl.variables()]
-    if non_ground and not program.constants():
-        raise GroundingError(
-            "clause %d has variables but the program has no constants"
-            % non_ground[0].clause_id
-        )
-
+def _fixpoint(clauses):
+    """The least fixpoint of clauses by semi-naive evaluation: the derived
+    atoms in derivation order, and each clause's instances as (heads, body)
+    in grounding order (see the module docstring)."""
     probed = set()  # (pred, arity, position) some literal probes while bound
-    joins = [_ClauseJoin(cl, probed) for cl in program.clauses]
+    joins = [_ClauseJoin(cl, probed) for cl in clauses]
     triggers = {}  # (pred, arity) -> [(clause number, positive literal number)]
     for ci, cj in enumerate(joins):
         for j, atom in enumerate(cj.positives):
@@ -274,10 +299,189 @@ def ground(program):
             for _, inst in found:
                 add_instance(ci, inst)
         lo = hi
+    return atoms, instances
 
+
+def _key(atom):
+    return atom.pred, len(atom.args)
+
+
+def _sideways(clause, bound):
+    """Left-to-right sideways information passing through a clause whose
+    head variables `bound` are bound: (literal, adornment, positive literals
+    before it) per body literal, the positive ones in literal order and the
+    negated ones after them.  An adornment marks each argument bound (a
+    constant, or a variable bound by then) or free."""
+    known = set(bound)
+    before = []
+    out = []
+    for lit in sorted(clause.body, key=lambda lit: lit.negated):
+        adornment = tuple(not isinstance(t, Var) or t in known for t in lit.atom.args)
+        out.append((lit, adornment, tuple(before)))
+        if not lit.negated:
+            known.update(lit.atom.variables())
+            before.append(lit)
+    return out
+
+
+def _demand_atom(atom, adornment):
+    """The demand for atom under adornment: a fresh predicate per (predicate,
+    adornment), over the bound arguments."""
+    return Atom(
+        ("demand", atom.pred, adornment),
+        tuple(t for t, bound in zip(atom.args, adornment) if bound),
+    )
+
+
+def _demand_program(program, demand):
+    """The demand rewrite of program for the demanded ground atoms, as
+    (clauses, origins), or None when no predicate defined by a clause with
+    variables is ever called with a free argument.  origins[k] is
+    (source clause number, literals to drop from the front of each instance
+    body) for a clause whose instances belong to the result, None for the
+    rules that derive demand and guard atoms."""
+    with_vars = [bool(cl.variables()) for cl in program.clauses]
+    rules = {}  # (pred, arity) -> [(clause number, head)] over clauses with variables
+    for ci, cl in enumerate(program.clauses):
+        if with_vars[ci]:
+            for a, _ in cl.heads:
+                rules.setdefault(_key(a), []).append((ci, a))
+    calls = set()  # (pred, arity, adornment)
+    guards = {}  # (clause number, bound head variables) -> _sideways steps
+    feeds = []  # (clause number, bound head variables, head, adornment)
+    work = []
+
+    def call(atom, adornment):
+        key = _key(atom)
+        if key in rules and key + (adornment,) not in calls:
+            calls.add(key + (adornment,))
+            work.append((key, adornment))
+
+    seeds = {}  # demand atoms that hold unconditionally
+    for atom in [*demand, *(lit.atom for cl, v in zip(program.clauses, with_vars)
+                            if not v for lit in cl.body)]:
+        if _key(atom) in rules:
+            adornment = (True,) * len(atom.args)
+            seeds[_demand_atom(atom, adornment)] = None
+            call(atom, adornment)
+    while work:
+        key, adornment = work.pop()
+        for ci, head in rules[key]:
+            at_bound = {t for t, b in zip(head.args, adornment) if b and isinstance(t, Var)}
+            cl = program.clauses[ci]
+            bound = tuple(v for v in dict.fromkeys(cl.variables()) if v in at_bound)
+            feeds.append((ci, bound, head, adornment))
+            if (ci, bound) not in guards:
+                guards[ci, bound] = steps = _sideways(cl, bound)
+                for lit, adorn, _ in steps:
+                    call(lit.atom, adorn)
+    if all(all(adornment) for _, _, adornment in calls):
+        return None
+
+    def rule(head, body):
+        return AnnotatedClause(clause_id=-1, heads=((head, 1.0),), body=tuple(body))
+
+    def guard(ci, bound):
+        return Atom(("guard", ci, bound), bound)
+
+    clauses = [rule(a, ()) for a in seeds]
+    origins = [None] * len(clauses)
+    for ci, cl in enumerate(program.clauses):
+        if not with_vars[ci]:
+            clauses.append(cl)
+            origins.append((ci, 0))
+    for ci, bound, head, adornment in feeds:
+        clauses.append(rule(guard(ci, bound), [Literal(_demand_atom(head, adornment))]))
+        origins.append(None)
+    for (ci, bound), steps in guards.items():
+        cl = program.clauses[ci]
+        g = Literal(guard(ci, bound))
+        clauses.append(AnnotatedClause(cl.clause_id, cl.heads, (g,) + cl.body, cl.is_query))
+        origins.append((ci, 1))
+        for lit, adornment, before in steps:
+            if _key(lit.atom) in rules:
+                clauses.append(rule(_demand_atom(lit.atom, adornment), (g,) + before))
+                origins.append(None)
+    return clauses, origins
+
+
+def _cone(instances, demand):
+    """The instances the demanded atoms depend on, and the atoms they derive,
+    in the order ground(program) gives them.  instances holds each clause's
+    instances as (heads, body), in any order and possibly repeated (two
+    guarded copies of a clause can find the same instance), and must include
+    every instance of the possible-atom program whose head the demanded atoms
+    depend on."""
+    flat = [(ci, heads, body) for ci, insts in enumerate(instances)
+            for heads, body in insts]
+    deriving = {}  # atom -> numbers of the instances with it as a head
+    for k, (_, heads, _) in enumerate(flat):
+        for a, _ in heads:
+            deriving.setdefault(a, []).append(k)
+    reached = set(demand)
+    stack = list(reached)
+    cone = set()
+    while stack:
+        for k in deriving.get(stack.pop(), ()):
+            if k not in cone:
+                cone.add(k)
+                for lit in flat[k][2]:
+                    if lit.atom not in reached:
+                        reached.add(lit.atom)
+                        stack.append(lit.atom)
+
+    # Replay ground()'s semi-naive rounds over the cone: an instance fires
+    # the round after its last positive body atom is derived, and within a
+    # round instances go by clause, then by the numbers of their positive
+    # body atoms.  Every instance deriving a cone atom is in the cone, so
+    # cone atoms get the rounds, and the relative numbers, they have in the
+    # whole program.  The positive body atoms fix an instance, so a repeat
+    # sorts right after its first copy and is dropped.
+    pending = {}  # instance -> positive body atoms not derived yet
+    waiting = {}  # atom -> instances it is pending in
+    ready = []
+    for k in cone:
+        positives = {lit.atom for lit in flat[k][2] if not lit.negated}
+        if positives:
+            pending[k] = len(positives)
+            for a in positives:
+                waiting.setdefault(a, []).append(k)
+        else:
+            ready.append(k)
+    number = {}
+    atoms = []
+    ordered = [[] for _ in instances]
+    while ready:
+        keys = {k: (flat[k][0], [number[lit.atom] for lit in flat[k][2] if not lit.negated])
+                for k in ready}
+        ready.sort(key=keys.__getitem__)
+        start = len(atoms)
+        last = None
+        for k in ready:
+            if keys[k] == last:
+                continue
+            last = keys[k]
+            ci, heads, body = flat[k]
+            ordered[ci].append((heads, body))
+            for a, _ in heads:
+                if a not in number:
+                    number[a] = len(atoms)
+                    atoms.append(a)
+        ready = []
+        for a in atoms[start:]:
+            for k in waiting.get(a, ()):
+                pending[k] -= 1
+                if not pending[k]:
+                    ready.append(k)
+    return ordered, atoms
+
+
+def _ground_program(program, instances, atoms, demand=None):
     ground_clauses = []
     choice_vars = []
     for cl, insts in zip(program.clauses, instances):
+        if not insts:
+            continue
         null_prob = cl.null_prob
         deterministic = cl.is_deterministic
         for gid, (heads, body) in enumerate(insts):
@@ -310,7 +514,42 @@ def ground(program):
                     cv_index=cv_index,
                 )
             )
-    return GroundProgram(program, ground_clauses, choice_vars, atoms)
+    return GroundProgram(program, ground_clauses, choice_vars, atoms, demand)
+
+
+def _ground_all(program):
+    """The whole ground program.  GroundProgram.strata grounds through this,
+    not ground(), so every call of ground() is one a caller made and uses
+    (tools that wrap ground() see only those)."""
+    atoms, instances = _fixpoint(program.clauses)
+    return _ground_program(program, instances, atoms)
+
+
+def ground(program, demand=None):
+    """The possible-atom ground program, or with demand (ground atoms) the
+    part of it those atoms depend on; deterministic for a fixed input (see
+    the module docstring for the order)."""
+    non_ground = [cl for cl in program.clauses if cl.variables()]
+    if non_ground and not program.constants():
+        raise GroundingError(
+            "clause %d has variables but the program has no constants"
+            % non_ground[0].clause_id
+        )
+    if demand is None:
+        return _ground_all(program)
+    demand = tuple(demand)
+    rewrite = _demand_program(program, demand)
+    if rewrite is None:
+        instances = _fixpoint(program.clauses)[1]
+    else:
+        clauses, origins = rewrite
+        instances = [[] for _ in program.clauses]
+        for origin, insts in zip(origins, _fixpoint(clauses)[1]):
+            if origin is not None:
+                ci, drop = origin
+                instances[ci].extend((heads, body[drop:]) for heads, body in insts)
+    instances, atoms = _cone(instances, demand)
+    return _ground_program(program, instances, atoms, demand)
 
 
 def _components(nodes, succ):
@@ -372,6 +611,23 @@ def stratify(gp):
             )
     cyclic = tuple(len(c) > 1 or c[0] in succ.get(c[0], ()) for c in levels)
     return Strata(levels=tuple(levels), index=index, cyclic=cyclic)
+
+
+def _negative_predicate_cycle(program):
+    """Whether the predicate dependency graph has a cycle through a negated
+    literal.  Every ground dependency maps onto a predicate dependency, so
+    without one the ground graph of any part of the program is stratified."""
+    succ = {}
+    negative = []
+    for cl in program.clauses:
+        for head, _ in cl.heads:
+            deps = succ.setdefault(_key(head), {})
+            for lit in cl.body:
+                deps[_key(lit.atom)] = None
+                if lit.negated:
+                    negative.append((_key(lit.atom), _key(head)))
+    index = {p: i for i, comp in enumerate(_components(list(succ), succ)) for p in comp}
+    return any(index[u] == index[v] for u, v in negative)
 
 
 def format_ground(gp):

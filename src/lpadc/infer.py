@@ -20,8 +20,12 @@ are completed with their most probable head (the path not branching on them
 means any head yields the same remainder, so the maximum picks the
 heaviest).
 
-Every entry point validates the program, also when the caller passes a
-ground program of its own.
+A marginal grounds only what its query and evidence atoms depend on
+(grounder.ground with a demand).  MPE and MAP ground the whole program,
+because their assignments cover every query choice variable.  Every entry
+point validates the program, also when the caller passes a ground program of
+its own; one grounded for a demand is accepted only by prob_result, and only
+when its demand covers the query and evidence atoms.
 """
 
 from __future__ import annotations
@@ -122,10 +126,14 @@ def _evidence_of(program, evidence):
     return tuple(evidence)
 
 
-def _ground(program, gp):
+def _ground(program, gp, demand=None):
+    """The ground program for the demanded atoms, None meaning every atom; a
+    caller's gp grounded for a demand must have been grounded for these."""
     check_program(program)
     if gp is None:
-        gp = grounder.ground(program)
+        gp = grounder.ground(program, demand)
+    elif gp.demand is not None and (demand is None or not set(demand) <= set(gp.demand)):
+        raise InferError("the ground program was grounded for other atoms")
     gp.strata()  # raises on non-stratified programs before any BDD work
     return gp
 
@@ -140,9 +148,10 @@ def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=No
     ev = _evidence_of(program, evidence)
     if query is None:
         raise InferError("the prob task needs a query atom")
-    gp = _ground(program, gp)
+    roots = [query] + [lit.atom for lit in ev]
+    gp = _ground(program, gp, roots)
     cp = compile_program(gp, task="prob", kernel=kernel, node_cap=node_cap,
-                         roots=[query] + [lit.atom for lit in ev])
+                         roots=roots)
     qref = compile_query(cp, [Literal(query)])
     value = cp.manager.prob(qref)
     nodes = qref.node_count()

@@ -1,11 +1,16 @@
-"""Seeded random propositional programs for property tests.
+"""Seeded random programs for property tests.
 
-Every case is a pure function of its seed: at most four annotated clauses
-(six choice variables would need four clauses of three heads, so the world
-count stays tiny), at most three heads per clause, deterministic rules in a
-second stratum whose bodies may negate first-stratum atoms, and optional
-positive recursion inside either stratum.  Evidence is resampled until the
-oracle certifies it has positive probability.
+random_case draws a propositional program with a query and evidence.  Every
+case is a pure function of its seed: at most four annotated clauses (six
+choice variables would need four clauses of three heads, so the world count
+stays tiny), at most three heads per clause, deterministic rules in a second
+stratum whose bodies may negate first-stratum atoms, and optional positive
+recursion inside either stratum.  Evidence is resampled until the oracle
+certifies it has positive probability.
+
+random_first_order_src draws first-order program text, random_demand the
+atoms to ground it for, and backward_cone is the reference for what
+grounding with a demand must return.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from lpadc.grounder import ground
-from lpadc.model import Literal
+from lpadc.model import Atom, Literal
 from lpadc.oracle import exact_prob
 from lpadc.parser import parse_atom, parse_program
 
@@ -98,3 +103,76 @@ def map_subset(case, rng=None):
         return []
     size = rng.randint(1, n)
     return sorted(rng.sample(range(n), size))
+
+
+_PREDS = (("p", 1), ("q", 2), ("r", 1), ("s", 2), ("t", 0), ("u", 3))
+_VARS = ("X", "Y", "Z")
+
+
+def random_first_order_src(seed):
+    """Facts, then rules over a shared predicate pool (so rules recurse),
+    with repeated variables, constants in bodies, negated literals and
+    multi-head clauses; every head and negated variable occurs in a positive
+    body literal."""
+    rng = random.Random(seed)
+    consts = rng.sample(["a", "b", "c", "1", "2"], rng.randint(2, 3))
+
+    def atom(names):
+        pred, arity = rng.choice(_PREDS)
+        args = [
+            rng.choice(names) if names and rng.random() < 0.75 else rng.choice(consts)
+            for _ in range(arity)
+        ]
+        return args, "%s(%s)" % (pred, ",".join(args)) if arity else pred
+
+    lines = ["p(%s)." % consts[0]]  # so the program has a constant
+    for _ in range(rng.randint(2, 7)):
+        text = atom(())[1]
+        lines.append(text + (":%r." % rng.choice([0.3, 0.8]) if rng.random() < 0.5 else "."))
+    for _ in range(rng.randint(1, 6)):
+        body = [atom(_VARS) for _ in range(rng.choice([1, 1, 2, 2, 3]))]
+        bound = sorted({t for args, _ in body for t in args if t in _VARS})
+        texts = [text for _, text in body]
+        texts += ["\\+ " + atom(bound)[1] for _ in range(rng.choice([0, 0, 1]))]
+        heads = [atom(bound)[1] for _ in range(rng.choice([1, 1, 2]))]
+        if len(heads) == 1 and rng.random() < 0.5:
+            head = heads[0]
+        else:
+            head = "; ".join("%s:%r" % (h, 0.9 / len(heads)) for h in heads)
+        lines.append("%s :- %s." % (head, ", ".join(texts)))
+    return "\n".join(lines) + "\n"
+
+
+def random_demand(program, gp, seed):
+    """Two possible atoms of gp (fewer if it has fewer) and one ground atom
+    over the program's predicates and constants that has no rules."""
+    rng = random.Random(seed ^ 0x5EED)
+    demand = rng.sample(gp.atoms, min(2, len(gp.atoms)))
+    consts = program.constants()
+    possible = set(gp.atoms)
+    for _ in range(20):
+        pred, arity = rng.choice(_PREDS)
+        atom = Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+        if atom not in possible:
+            break
+    else:
+        atom = Atom("v", (consts[0],))
+    return demand + [atom]
+
+
+def backward_cone(gp, atoms):
+    """The ground clauses of gp the given atoms depend on, in gp's order, and
+    the atoms reached: every clause with a reached head is kept, and its body
+    atoms, positive or negated, are reached."""
+    reached = set(atoms)
+    stack = list(atoms)
+    kept = set()
+    while stack:
+        for gi, _ in gp.rules_by_head.get(stack.pop(), ()):
+            if gi not in kept:
+                kept.add(gi)
+                for lit in gp.ground_clauses[gi].body:
+                    if lit.atom not in reached:
+                        reached.add(lit.atom)
+                        stack.append(lit.atom)
+    return [gc for gi, gc in enumerate(gp.ground_clauses) if gi in kept], reached

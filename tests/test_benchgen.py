@@ -212,7 +212,9 @@ def test_run_bench_memcap():
 
 
 def test_run_bench_timeout():
-    spec = BenchSpec("graph", 400, 0, "prob", timeout=0.2)
+    # generating graph 3000 alone takes over a second, however fast the
+    # engine answers
+    spec = BenchSpec("graph", 3000, 0, "prob", timeout=0.2)
     row = run_bench(spec)
     assert row.status == "timeout"
     assert row.value is None

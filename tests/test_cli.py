@@ -244,10 +244,42 @@ def test_node_cap_is_exit_2(capsys, tmp_path):
 
 def test_timeout_is_exit_2(capsys, tmp_path):
     path = tmp_path / "big.lpad"
-    path.write_text(format_program(gen_graph(400, seed=0)))
-    code, _, err = run(capsys, "prob", str(path), "--timeout", "0.2")
+    # reachability over the 900 edges of a complete graph: its diagram is
+    # far too large for 0.2 s however little of the program is grounded
+    path.write_text(
+        "".join("n(%d).\n" % i for i in range(30))
+        + "e(X, Y):0.5 :- n(X), n(Y).\n"
+        "path(X, Y) :- e(X, Y).\n"
+        "path(X, Y) :- path(X, Z), e(Z, Y).\n"
+    )
+    code, _, err = run(capsys, "prob", str(path), "--query", "path(0, 29)",
+                       "--timeout", "0.2")
     assert code == 2
     assert "timed out" in err
+
+
+def test_timeout_survives_a_lost_alarm(capsys, monkeypatch):
+    # an alarm that lands in a finalizer is dropped, as if caught here
+    import time
+
+    from lpadc import cli
+
+    def busy(args):
+        deadline = time.monotonic() + 5.0
+        try:
+            while time.monotonic() < deadline:
+                pass
+        except Exception:
+            pass
+        while time.monotonic() < deadline:
+            pass
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "prob", busy)
+    start = time.monotonic()
+    code, _, err = run(capsys, "prob", COLORS, "--timeout", "0.1")
+    assert code == 2 and "timed out" in err
+    assert time.monotonic() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from lpadc import benchgen
+from lpadc import benchgen, grounder
 from lpadc.grounder import (
     GroundingError,
     StratificationError,
@@ -17,6 +17,8 @@ from lpadc.grounder import (
 )
 from lpadc.model import Atom, Literal, Var
 from lpadc.parser import parse_atom, parse_program
+
+from randprog import backward_cone, random_demand, random_first_order_src
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -217,44 +219,6 @@ def test_benchmark_shapes_keep_their_ground_order(family, size, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-_PREDS = (("p", 1), ("q", 2), ("r", 1), ("s", 2), ("t", 0), ("u", 3))
-_VARS = ("X", "Y", "Z")
-
-
-def _random_first_order_src(seed):
-    """Facts, then rules over a shared predicate pool (so rules recurse),
-    with repeated variables, constants in bodies, negated literals and
-    multi-head clauses; every head and negated variable occurs in a positive
-    body literal."""
-    rng = random.Random(seed)
-    consts = rng.sample(["a", "b", "c", "1", "2"], rng.randint(2, 3))
-
-    def atom(names):
-        pred, arity = rng.choice(_PREDS)
-        args = [
-            rng.choice(names) if names and rng.random() < 0.75 else rng.choice(consts)
-            for _ in range(arity)
-        ]
-        return args, "%s(%s)" % (pred, ",".join(args)) if arity else pred
-
-    lines = ["p(%s)." % consts[0]]  # so the program has a constant
-    for _ in range(rng.randint(2, 7)):
-        text = atom(())[1]
-        lines.append(text + (":%r." % rng.choice([0.3, 0.8]) if rng.random() < 0.5 else "."))
-    for _ in range(rng.randint(1, 6)):
-        body = [atom(_VARS) for _ in range(rng.choice([1, 1, 2, 2, 3]))]
-        bound = sorted({t for args, _ in body for t in args if t in _VARS})
-        texts = [text for _, text in body]
-        texts += ["\\+ " + atom(bound)[1] for _ in range(rng.choice([0, 0, 1]))]
-        heads = [atom(bound)[1] for _ in range(rng.choice([1, 1, 2]))]
-        if len(heads) == 1 and rng.random() < 0.5:
-            head = heads[0]
-        else:
-            head = "; ".join("%s:%r" % (h, 0.9 / len(heads)) for h in heads)
-        lines.append("%s :- %s." % (head, ", ".join(texts)))
-    return "\n".join(lines) + "\n"
-
-
 def _brute_force_ground(program):
     """Least fixpoint over every substitution of constants for a clause's
     variables: an instance is kept when all its positive body atoms are
@@ -289,7 +253,7 @@ def _brute_force_ground(program):
 def test_ground_matches_brute_force_fixpoint():
     chained = 0
     for seed in range(300):
-        program = parse_program(_random_first_order_src(seed))
+        program = parse_program(random_first_order_src(seed))
         gp = ground(program)
         got = [(gc.clause_id, gc.heads, gc.body) for gc in gp.ground_clauses]
         want, possible = _brute_force_ground(program)
@@ -308,6 +272,71 @@ def test_ground_matches_brute_force_fixpoint():
             for lit in gc.body
         )
     assert chained > 100  # rules often join against what rules derived
+
+
+def _key(gc):
+    return gc.clause_id, gc.heads, gc.body
+
+
+def test_demand_grounds_exactly_the_cone():
+    rewritten = plain = ruleless = 0
+    for seed in range(300):
+        program = parse_program(random_first_order_src(seed))
+        full = ground(program)
+        demand = random_demand(program, full, seed)
+        gp = ground(program, demand)
+        kept, reached = backward_cone(full, demand)
+        # the cone's clauses, in the whole program's relative order
+        assert [_key(gc) for gc in gp.ground_clauses] == [_key(gc) for gc in kept], seed
+        assert set(gp.atoms) == {a for gc in kept for a, _ in gc.heads}, seed
+        assert len(gp.atoms) == len(set(gp.atoms)), seed
+        assert [a for a in gp.atoms if a in reached] == [
+            a for a in full.atoms if a in reached
+        ], seed
+        # dense numbering: choice variables in clause order, grounding ids
+        # from 0 within each clause
+        assert [cv.index for cv in gp.choice_vars] == list(range(len(gp.choice_vars)))
+        assert [gc.cv_index for gc in gp.ground_clauses if gc.cv_index is not None] == [
+            cv.index for cv in gp.choice_vars
+        ]
+        ids = {}
+        for gc in gp.ground_clauses:
+            assert gc.grounding_id == ids.get(gc.clause_id, 0), seed
+            ids[gc.clause_id] = gc.grounding_id + 1
+        assert format_ground(ground(program, demand)) == format_ground(gp), seed
+        ruleless += demand[-1] not in full.rules_by_head
+        if grounder._demand_program(program, tuple(demand)) is None:
+            plain += 1
+        else:
+            rewritten += 1
+    assert ruleless == 300
+    assert rewritten > 100 and plain > 100, (rewritten, plain)
+
+
+def test_demand_grounding_takes_the_rewrite_only_for_free_calls():
+    # graph calls path with its second argument free; gh has no variables
+    # and blood binds every argument of every call
+    for family, size, rewrite in (("graph", 30, True), ("gh", 9, False),
+                                  ("blood", 2, False)):
+        program = benchgen.generate(family, size, 0)
+        chosen = grounder._demand_program(program, program.queries)
+        assert (chosen is not None) == rewrite, family
+
+
+def test_demand_grounding_is_independent_of_hash_seed():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = (
+        "from lpadc import benchgen; from lpadc.grounder import format_ground, ground; "
+        "p = benchgen.generate('graph', 30, 0); print(format_ground(ground(p, p.queries)))"
+    )
+    out = []
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        out.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert out[0] == out[1]
+    program = benchgen.generate("graph", 30, 0)
+    assert out[0] == format_ground(ground(program, program.queries)) + "\n"
 
 
 def test_benchmark_references_agree_with_oracle():

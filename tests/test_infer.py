@@ -2,11 +2,14 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from lpadc.grounder import ground
+from lpadc.grounder import StratificationError, ground, stratify
 from lpadc.infer import InferError, cond_prob, decode, map_query, mpe, prob_result
 from lpadc.model import Literal
 from lpadc.oracle import (
@@ -18,7 +21,15 @@ from lpadc.oracle import (
 )
 from lpadc.parser import parse_atom, parse_literal, parse_program
 
-from randprog import map_subset, random_case
+from randprog import (
+    backward_cone,
+    map_subset,
+    random_case,
+    random_demand,
+    random_first_order_src,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 EV = [parse_literal("ev")]
 
@@ -82,6 +93,27 @@ def test_diagnosis_conditional(kernel, ex4):
 
 # ---------------------------------------------------------------------------
 # argument handling and errors
+
+
+def test_negative_predicate_cycle_with_stratified_ground_program():
+    # a(_) depends on b(_) through negation and b(_) on a(_), but no ground
+    # atom depends on itself through negation
+    program = parse_program("a(1):0.5.\nb(2) :- a(1).\na(2) :- \\+ b(2).\n")
+    for name in ("a(2)", "b(2)"):
+        query = parse_atom(name)
+        got = prob_result(program, query).value
+        assert got == pytest.approx(exact_prob(ground(program), [Literal(query)]), abs=1e-12)
+    assert prob_result(program, parse_atom("a(2)")).value == pytest.approx(0.5)
+
+
+def test_ground_program_for_other_atoms_rejected(ex1):
+    program = parse_program(ex1)
+    gp = ground(program, [parse_atom("pick(b1)")])
+    assert prob_result(program, parse_atom("pick(b1)"), gp=gp).value == pytest.approx(0.6)
+    with pytest.raises(InferError):
+        prob_result(program, parse_atom("ev"), gp=gp)
+    with pytest.raises(InferError):
+        mpe(program, gp=gp)
 
 
 def test_prob_needs_query(kernel, ex1):
@@ -227,6 +259,48 @@ def test_post_order_keeps_marginal_diagrams_small(kernel, family, size, max_node
     assert res.stats.bdd_nodes <= max_nodes
 
 
+def test_marginal_grounds_only_what_the_query_reaches():
+    from lpadc.benchgen import generate
+
+    program = generate("graph", 200, 0)
+    full = ground(program)
+    kept, _ = backward_cone(full, list(program.queries))
+    reachable = sum(gc.cv_index is not None for gc in kept)
+    res = prob_result(program, program.queries[0])
+    assert (len(full.atoms), len(full.choice_vars)) == (2905, 396)
+    assert res.stats.choice_vars == reachable == 18
+    assert res.stats.ground_atoms < len(full.atoms) / 20
+
+
+def test_tracer_patch_points_exist():
+    # perfbench/tracing.py wraps grounder.ground and GroundProgram.strata by
+    # name and reads the program the compiler used from its last ground call
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench')\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer(); tracer.install()\n"
+        "from lpadc import infer, parser\n"
+        "with open('programs/diagnosis.lpad') as fh:\n"
+        "    program = parser.parse_program(fh.read())\n"
+        "query = parser.parse_atom('disease')\n"
+        "for task, call in (('prob', lambda: infer.prob_result(program, query)),\n"
+        "                   ('mpe', lambda: infer.mpe(program)),\n"
+        "                   ('map', lambda: infer.map_query(program))):\n"
+        "    tracer.begin_query(task)\n"
+        "    res = call()\n"
+        "    names = {row[0] for row in tracer.spans if row[4] == task}\n"
+        "    assert {'grounder.ground', 'grounder.strata'} <= names, (task, names)\n"
+        "    gp = tracer.last_ground\n"
+        "    assert gp is not None and len(gp.choice_vars) == res.stats.choice_vars, task\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_map_assignment_covers_only_query_variables(kernel, ex3):
     res = map_query(parse_program(ex3), evidence=EV, kernel=kernel)
     assert [cv.clause_id for cv, _ in res.assignment.entries] == [1]
@@ -250,6 +324,39 @@ def test_random_marginals_match_oracle(kernel):
         got = cond_prob(case.program, case.query, list(case.evidence), kernel=kernel)
         want = exact_cond_prob(case.gp, [Literal(case.query)], list(case.evidence))
         assert got == pytest.approx(want, abs=1e-9), case.src
+
+
+def test_random_first_order_marginals_match_oracle_on_the_whole_program():
+    # prob_result grounds only what the query and evidence reach; the oracle
+    # enumerates the worlds of the whole possible-atom program
+    checked = rejected = 0
+    for seed in range(300):
+        program = parse_program(random_first_order_src(seed))
+        full = ground(program)
+        if len(full.choice_vars) > 12:
+            continue
+        demand = random_demand(program, full, seed)
+        try:
+            stratify(full)
+        except StratificationError:
+            with pytest.raises(StratificationError):
+                prob_result(program, demand[0], [])
+            rejected += 1
+            continue
+        cases = [(atom, []) for atom in demand]
+        if len(demand) > 2:
+            cases.append((demand[0], [Literal(demand[1], negated=seed % 2 == 1)]))
+        for query, evidence in cases:
+            try:
+                want = exact_cond_prob(full, [Literal(query)], evidence)
+            except ZeroDivisionError:
+                continue
+            got = prob_result(program, query, evidence).value
+            assert got == pytest.approx(want, abs=1e-9), (seed, query, evidence)
+            checked += 1
+    print("%d marginals checked, %d non-stratified programs rejected"
+          % (checked, rejected))
+    assert checked > 800 and rejected > 0, (checked, rejected)
 
 
 def test_random_mpe_matches_oracle(kernel):
