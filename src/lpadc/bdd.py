@@ -75,6 +75,17 @@ def _log(x):
     return math.log(x) if x > 0.0 else -math.inf
 
 
+# relative tolerance of a tie between log scores: far above the rounding of a
+# log-space sum, far below any real difference between two selections
+TIE_TOL = 1e-9
+
+
+def _near(a, b):
+    """Whether log scores a and b tie.  Only finite scores can: against
+    -inf the difference is inf, and between two -inf it is nan."""
+    return abs(a - b) <= TIE_TOL * max(1.0, abs(max(a, b)))
+
+
 @dataclass(frozen=True)
 class BddVarInfo:
     var_id: int
@@ -250,12 +261,16 @@ class BddManager:
     def map_best(self, a):
         """Max-product pass over the query chains, in log space.
 
-        Returns (log_value, choices).  log_value is the log of the maximum,
-        over values of the query groups, of the probability of those values
-        times the probability of `a` given them; choices maps each query
-        group the best path tests to the chain position of its best value.
-        A group the best path never tests is not in choices: every one of
-        its values reaches the same remainder.
+        Returns (log_value, choices, unique).  log_value is the log of the
+        maximum, over values of the query groups, of the probability of
+        those values times the probability of `a` given them; choices maps
+        each query group the best path tests to the chain position of its
+        best value.  A group the best path never tests is not in choices:
+        every one of its values reaches the same remainder.  unique is False
+        when another selection may score as well, up to TIE_TOL: a node on
+        the best path scores both branches alike, or some query group's best
+        value is attained by more than one of its values.  Otherwise every
+        variable order reports the same maximiser.
 
         The contract, which the compiler's encoding meets: every query
         variable sits above every other one, each query group's variables
@@ -269,7 +284,8 @@ class BddManager:
         V'(lo) is m_g[j+1] skip V(lo) when lo leaves g, and skip is the
         product of m_h[0] over the whole query groups h that the edge
         jumps.  The first non-query node below is a weighted-count
-        boundary.  Ties go to the 1-branch.
+        boundary.  Ties go to the 1-branch, so which of several maximisers
+        is reported depends on the order of the query groups.
         """
         k = self._k
         order = k.level_order()
@@ -292,16 +308,21 @@ class BddManager:
         where = {}  # query var -> (group position, bit)
         lw1, lw0, lm, best = [], [], [], []  # per group position, by bit
         skip = [0.0]  # skip[i]: sum of log m_h[0] over positions h < i
+        unique = True
         for gpos, (_, ids) in enumerate(groups):
             w1 = [_log(k.var_weight(v)) for v in ids]
             w0 = [_log(k.var_zero_weight(v)) for v in ids]
             m, arg = [0.0] * (len(ids) + 1), list(range(len(ids) + 1))
+            tied = False  # the best value from bit j on is attained twice
             for j in reversed(range(len(ids))):
                 where[ids[j]] = (gpos, j)
-                if w1[j] >= w0[j] + m[j + 1]:
-                    m[j] = w1[j]
+                one, zero = w1[j], w0[j] + m[j + 1]
+                if one >= zero:
+                    m[j], tied = one, _near(one, zero)
                 else:
-                    m[j], arg[j] = w0[j] + m[j + 1], arg[j + 1]
+                    m[j], arg[j] = zero, arg[j + 1]
+                    tied = tied or _near(one, zero)
+            unique = unique and not tied
             lw1.append(w1)
             lw0.append(w0)
             lm.append(m)
@@ -311,7 +332,7 @@ class BddManager:
 
         # query node -> (group position, bit, lo, hi)
         nodes = {n: where[v] + (lo, hi) for n, v, lo, hi in k.nodes(a.ref) if v in where}
-        val, take = {}, {}
+        val, score = {}, {}  # per complement: best, (1-branch, 0-branch)
 
         def child(ref, comp):
             """(entry group position, log value) of an edge's target."""
@@ -328,7 +349,7 @@ class BddManager:
         for n in sorted(nodes, key=nodes.get, reverse=True):
             gpos, j, lo, hi = nodes[n]
             out = skip[gpos + 1]
-            val[n], take[n] = [], []
+            val[n], score[n] = [], []
             for comp in (0, 1):
                 hpos, hval = child(hi, comp)
                 s1 = lw1[gpos][j] + skip[hpos] - out + hval
@@ -337,7 +358,7 @@ class BddManager:
                 if lpos != gpos:
                     s0 += lm[gpos][j + 1] + skip[lpos] - out
                 val[n].append(max(s1, s0))
-                take[n].append(s1 >= s0)
+                score[n].append((s1, s0))
 
         rpos, log_value = child(a.ref, 0)
         log_value += skip[rpos]
@@ -347,14 +368,16 @@ class BddManager:
             comp ^= ref & 1
             gpos, j, lo, hi = nodes[ref >> 1]
             g = groups[gpos][0]
-            if take[ref >> 1][comp]:
+            s1, s0 = score[ref >> 1][comp]
+            unique = unique and not _near(s1, s0)
+            if s1 >= s0:
                 choices[g] = j
                 ref = hi
             else:
                 if nodes.get(lo >> 1, (end,))[0] != gpos:
                     choices[g] = best[gpos][j + 1]
                 ref = lo
-        return log_value, choices
+        return log_value, choices, unique
 
     def reorder_groups_front(self, groups):
         self._k.reorder_groups_front(set(groups))

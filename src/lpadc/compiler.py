@@ -8,21 +8,22 @@ any, last.  Weights are conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on
 the 1-branch and 1 - pi_k on the 0-branch, so each variable's two weights
 sum to 1 and weighted counting sums each value exactly once.
 
-Chains are created in the variable order of the diagram.  By default the
-non-query chains follow post_order from the atoms the caller is about to
-compile: a depth-first walk that creates a clause's choice variable after
-the variables of every clause deriving its body atoms, so inputs come before
-the gates that use them (Fujita, Fujisawa and Kawato, ICCAD 1988).  On gh 10
-that keeps the marginal's diagram at 55 nodes, where index order builds
-5,120.  A reduced BDD is canonical for a fixed order, so the order changes
-sizes and times, never values.
+Chains are created in the variable order of the diagram.  By default they
+follow post_order from the atoms the caller is about to compile: a
+depth-first walk that creates a clause's choice variable after the variables
+of every clause deriving its body atoms, so inputs come before the gates
+that use them (Fujita, Fujisawa and Kawato, ICCAD 1988).  On gh 10 that
+keeps the marginal's diagram at 55 nodes, where index order builds 5,120,
+and gh 13 MPE at 91 nodes, where index order builds 53,248.  A reduced BDD
+is canonical for a fixed order, so the order changes sizes and times, never
+values.
 
 MPE and MAP use the same encoding.  Their query choice variables' chains are
-created first, in index order (or the caller's creation_order), so they sit
-on the top levels of the diagram, which is the layout the max-product pass
-in BddManager.map_best needs.  That pass breaks ties towards the 1-branch of
-the top query chain, so the reported maximiser among equal ones depends on
-the order of the query chains, and that order is left alone.
+created first, in the relative order of the same post-order (or of the
+caller's creation_order), so they sit on the top levels of the diagram,
+which is the layout the max-product pass in BddManager.map_best needs.
+Which of several equal maximisers that pass reports depends on the order of
+the query chains; lpadc.infer settles ties in index order.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to
@@ -50,7 +51,8 @@ class Encoding:
 
     The query choice variables' chains are created first, then the rest, each
     part in the relative order of creation_order (default: index order);
-    compile_program passes the post-order of its root atoms.
+    compile_program passes the post-order of its root atoms.  self.order is
+    the choice variables in the order their chains were created.
     """
 
     def __init__(self, manager, gp, query_cvs, creation_order=None):
@@ -60,10 +62,10 @@ class Encoding:
         self.var_ids = [None] * len(gp.choice_vars)
         self._value_cache = {}
         order = range(len(gp.choice_vars)) if creation_order is None else creation_order
-        order = [ci for ci in order if ci in self.query_cvs] + [
+        self.order = [ci for ci in order if ci in self.query_cvs] + [
             ci for ci in order if ci not in self.query_cvs
         ]
-        for ci in order:
+        for ci in self.order:
             self.var_ids[ci] = self._create_chain(ci)
 
     def _create_chain(self, ci):
@@ -181,8 +183,8 @@ def compile_program(
     query_cvs (choice-variable indices) defaults to the map_query-flagged
     variables for task "map" and to all variables for "mpe"; their chains
     are created first, so they sit on the top levels.  Without a
-    creation_order the query chains keep index order and the rest follow
-    post_order(gp, roots); roots are the atoms the caller will compile.
+    creation_order both parts follow post_order(gp, roots); roots are the
+    atoms the caller will compile.
     """
     if task not in TASK_MODES:
         raise CompileError("unknown task %r" % task)
@@ -207,8 +209,7 @@ def compile_program(
             kwargs["node_cap"] = node_cap
         manager = BddManager(kernel=kernel, **kwargs)
     if creation_order is None:
-        rest = [ci for ci in post_order(gp, roots) if ci not in query]
-        creation_order = sorted(query) + rest
+        creation_order = post_order(gp, roots)
     encoding = Encoding(manager, gp, query, creation_order)
     return CompiledProgram(gp, manager, encoding, task)
 

@@ -11,6 +11,13 @@ switches to the weighted count of the rest.  The pass is sound because a
 compiled formula depends on a chain only through the value it selects, so a
 path enters a chain at its first bit and leaves it after a 1-branch.
 
+The pass also says whether its maximiser is unique.  When it may not be, the
+reported one depends on the order of the query chains, so the program is
+compiled once more with the query chains in index order (the other chains
+keep their order) and the answer comes from that diagram.  Value, log_value
+and selection therefore do not depend on the variable order;
+stats.tie_recompiled records the second compile.
+
 Maximization reports the joint probability P(x, e) by default; pass
 normalize=True for P(x | e).  The pass runs in log space and the result
 carries log_value next to value = exp(log_value), so a selection keeps a
@@ -53,6 +60,7 @@ class InferenceStats:
     bool_vars: int = 0
     bdd_nodes: int = 0
     fixpoint_iterations: int = 0
+    tie_recompiled: bool = False  # MPE/MAP: a tie needed the index-order layout
     wall_time_s: float = 0.0
 
     def to_json_dict(self):
@@ -64,6 +72,7 @@ class InferenceStats:
             "bool_vars": self.bool_vars,
             "bdd_nodes": self.bdd_nodes,
             "fixpoint_iterations": self.fixpoint_iterations,
+            "tie_recompiled": self.tie_recompiled,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -182,26 +191,33 @@ def decode(choices, encoding, query_cvs):
     return Assignment(tuple(entries))
 
 
-def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap, gp,
-                 creation_order=None):
-    start = time.perf_counter()
-    ev = _evidence_of(program, evidence)
-    gp = _ground(program, gp)
-    cp = compile_program(
-        gp,
-        task=task,
-        query_cvs=query_cvs,
-        kernel=kernel,
-        node_cap=node_cap,
-        creation_order=creation_order,
-        roots=[lit.atom for lit in ev],
-    )
+def _maximize(gp, task, ev, creation_order, **kwargs):
+    """Compile the evidence for a max task and run the max-product pass."""
+    cp = compile_program(gp, task=task, creation_order=creation_order,
+                         roots=[lit.atom for lit in ev], **kwargs)
     eref = compile_query(cp, list(ev))
     if eref.is_false:
         # every variable weight is positive, so an unsatisfiable BDD is the
         # only way the evidence can have probability zero
         raise InferError("evidence has probability zero")
-    log_value, choices = cp.manager.map_best(eref)
+    return cp, eref, cp.manager.map_best(eref)
+
+
+def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap, gp,
+                 creation_order=None):
+    start = time.perf_counter()
+    ev = _evidence_of(program, evidence)
+    gp = _ground(program, gp)
+    kwargs = dict(query_cvs=query_cvs, kernel=kernel, node_cap=node_cap)
+    cp, eref, (log_value, choices, unique) = _maximize(
+        gp, task, ev, creation_order, **kwargs)
+    query = sorted(cp.query_cvs)
+    recompile = not unique and cp.encoding.order[:len(query)] != query
+    if recompile:
+        # settle the tie as index order does: same answer for every layout
+        order = query + cp.encoding.order[len(query):]
+        del cp, eref  # free the first diagram before building the second
+        cp, eref, (log_value, choices, _) = _maximize(gp, task, ev, order, **kwargs)
     assignment = decode(choices, cp.encoding, cp.query_cvs)
     if normalize:
         p_ev = cp.manager.prob(eref)
@@ -209,6 +225,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
             raise InferError("evidence probability underflows to zero")
         log_value -= math.log(p_ev)
     stats = _stats(cp, eref.node_count(), start)
+    stats.tie_recompiled = recompile
     return InferenceResult(
         task, math.exp(log_value), log_value, normalize, assignment, stats
     )

@@ -39,6 +39,7 @@ _TOKEN_RE = re.compile(
     | (?P<NECK>:-)
     | (?P<NOT>\\\+)
     | (?P<PUNCT>[():;,.])
+    | (?P<BAD>.)
     """,
     re.VERBOSE,
 )
@@ -61,78 +62,76 @@ class ParseError(Exception):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+def _span(text, filename, offset):
+    """Line and column (both from 1) of a character offset."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(filename, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
 
 def _tokenize(text, filename):
+    """(kind, text, offset) for every token, then ("EOF", "", len(text))."""
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(filename, line, pos - line_start + 1)
-            raise ParseError("unexpected character %r" % text[pos], span)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("WS", "COMMENT"):
-            span = SourceSpan(filename, line, pos - line_start + 1)
-            tokens.append(_Token(kind, tok, span))
-        line += tok.count("\n")
-        if "\n" in tok:
-            line_start = pos + tok.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", SourceSpan(filename, line, pos - line_start + 1)))
+        if kind == "BAD":
+            raise ParseError("unexpected character %r" % m.group(),
+                             _span(text, filename, m.start()))
+        if kind != "WS" and kind != "COMMENT":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text, filename):
+        self.text = text
+        self.filename = filename
+        self.tokens = _tokenize(text, filename)
         self.pos = 0
+
+    def span(self, tok):
+        return _span(self.text, self.filename, tok[2])
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self):
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def expect(self, kind, text=None):
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise ParseError("expected %r, found %r" % (want, tok.text or "end of input"), tok.span)
+            raise ParseError("expected %r, found %r" % (want, tok[1] or "end of input"),
+                             self.span(tok))
         return tok
 
     def at_punct(self, text):
         tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        return tok[0] == "PUNCT" and tok[1] == text
 
     # ---- grammar ----
 
     def parse_term(self):
         tok = self.next()
-        if tok.kind == "IDENT":
-            return tok.text
-        if tok.kind == "VAR":
-            if tok.text.startswith("_"):
-                raise ParseError("anonymous variables are not supported", tok.span)
-            return Var(tok.text)
-        if tok.kind == "NUMBER":
-            if "." in tok.text or "e" in tok.text or "E" in tok.text:
-                raise ParseError("float constants are not terms", tok.span)
-            return int(tok.text)
-        raise ParseError("expected a term, found %r" % tok.text, tok.span)
+        kind, text, _ = tok
+        if kind == "IDENT":
+            return text
+        if kind == "VAR":
+            if text.startswith("_"):
+                raise ParseError("anonymous variables are not supported", self.span(tok))
+            return Var(text)
+        if kind == "NUMBER":
+            if "." in text or "e" in text or "E" in text:
+                raise ParseError("float constants are not terms", self.span(tok))
+            return int(text)
+        raise ParseError("expected a term, found %r" % text, self.span(tok))
 
     def parse_atom(self):
-        tok = self.expect("IDENT")
+        name = self.expect("IDENT")[1]
         args = []
         if self.at_punct("("):
             self.next()
@@ -141,10 +140,10 @@ class _Parser:
                 self.next()
                 args.append(self.parse_term())
             self.expect("PUNCT", ")")
-        return Atom(tok.text, tuple(args))
+        return Atom(name, tuple(args))
 
     def parse_literal(self):
-        if self.peek().kind == "NOT":
+        if self.peek()[0] == "NOT":
             self.next()
             if self.at_punct("("):
                 self.next()
@@ -155,51 +154,48 @@ class _Parser:
             return Literal(atom, True)
         return Literal(self.parse_atom(), False)
 
-    def parse_number(self):
-        tok = self.expect("NUMBER")
-        return float(tok.text), tok.span
-
     def parse_head(self):
         atom = self.parse_atom()
         if self.at_punct(":"):
             self.next()
-            prob, span = self.parse_number()
+            tok = self.expect("NUMBER")
+            prob = float(tok[1])
             if not (0.0 <= prob <= 1.0):
-                raise ParseError("head probability %r outside [0,1]" % prob, span)
+                raise ParseError("head probability %r outside [0,1]" % prob, self.span(tok))
             return atom, prob, True
         return atom, 1.0, False
 
 
 def parse_program(text, filename="<string>"):
     """Parse source text into a Program.  Raises ParseError on bad syntax."""
-    tokens = _tokenize(text, filename)
-    p = _Parser(tokens)
+    p = _Parser(text, filename)
     clauses = []
     evidence = []
     queries = []
     warnings = []
-    while p.peek().kind != "EOF":
+    while p.peek()[0] != "EOF":
         start = p.peek()
-        if start.kind == "IDENT" and start.text in ("evidence", "query") and p.peek(1).text == "(":
+        kind, word, _ = start
+        if kind == "IDENT" and word in ("evidence", "query") and p.peek(1)[1] == "(":
             p.next()
             p.expect("PUNCT", "(")
-            if start.text == "evidence":
+            if word == "evidence":
                 lit = p.parse_literal()
                 if lit in evidence:
-                    warnings.append("%s: duplicate evidence directive %s" % (start.span, lit))
+                    warnings.append("%s: duplicate evidence directive %s" % (p.span(start), lit))
                 else:
                     evidence.append(lit)
             else:
                 atom = p.parse_atom()
                 if atom in queries:
-                    warnings.append("%s: duplicate query directive %s" % (start.span, atom))
+                    warnings.append("%s: duplicate query directive %s" % (p.span(start), atom))
                 else:
                     queries.append(atom)
             p.expect("PUNCT", ")")
             p.expect("PUNCT", ".")
             continue
         is_query = False
-        if start.kind == "IDENT" and start.text == "map_query" and p.peek(1).kind == "IDENT":
+        if kind == "IDENT" and word == "map_query" and p.peek(1)[0] == "IDENT":
             p.next()
             is_query = True
         heads = []
@@ -215,10 +211,10 @@ def parse_program(text, filename="<string>"):
         if len(heads) > 1 and not all(annotated):
             raise ParseError(
                 "every head of a disjunction needs a probability annotation",
-                start.span,
+                p.span(start),
             )
         body = []
-        if p.peek().kind == "NECK":
+        if p.peek()[0] == "NECK":
             p.next()
             body.append(p.parse_literal())
             while p.at_punct(","):
@@ -227,9 +223,9 @@ def parse_program(text, filename="<string>"):
         p.expect("PUNCT", ".")
         kept = tuple((a, pr) for a, pr in heads if pr != 0.0)
         if len(kept) < len(heads):
-            warnings.append("%s: dropped %d zero-probability head(s)" % (start.span, len(heads) - len(kept)))
+            warnings.append("%s: dropped %d zero-probability head(s)" % (p.span(start), len(heads) - len(kept)))
         if not kept:
-            raise ParseError("clause has no head with positive probability", start.span)
+            raise ParseError("clause has no head with positive probability", p.span(start))
         implicit_null(kept)  # raises on sum > 1
         clauses.append(
             AnnotatedClause(
@@ -249,8 +245,7 @@ def parse_program(text, filename="<string>"):
 
 def parse_atom(text, filename="<atom>"):
     """Parse a single atom, e.g. a CLI --query argument."""
-    tokens = _tokenize(text, filename)
-    p = _Parser(tokens)
+    p = _Parser(text, filename)
     atom = p.parse_atom()
     p.expect("EOF")
     return atom
@@ -258,8 +253,7 @@ def parse_atom(text, filename="<atom>"):
 
 def parse_literal(text, filename="<literal>"):
     """Parse a single possibly negated atom, e.g. a CLI --evidence argument."""
-    tokens = _tokenize(text, filename)
-    p = _Parser(tokens)
+    p = _Parser(text, filename)
     lit = p.parse_literal()
     p.expect("EOF")
     return lit

@@ -117,19 +117,24 @@ def brute_wmc(manager, ref, nv):
     return total
 
 
-def chain_case(seed, manager):
+def chain_case(seed, manager, ties=False):
     """Order-encoded groups for map_best: 1-4 groups, each a chain of 1-3
     bits (value k < bits is "bits 0..k-1 clear, bit k set", the last value
     is all bits clear), query groups created first, and a random formula
     over "group g takes value k" literals.  Returns (groups, tree, ref),
-    where groups is a list of (value probabilities, var ids, is_query)."""
+    where groups is a list of (value probabilities, var ids, is_query).
+    With ties, value weights are drawn from {1, 2}, so equal probabilities
+    and tied maximisers are common."""
     rng = random.Random(seed)
     n_groups = rng.randint(1, 4)
     n_query = rng.randint(1, n_groups)
     groups = []
     for g in range(n_groups):
         bits = rng.randint(1, 3)
-        raw = [rng.uniform(0.05, 1.0) for _ in range(bits + 1)]
+        if ties:
+            raw = [rng.choice((1.0, 2.0)) for _ in range(bits + 1)]
+        else:
+            raw = [rng.uniform(0.05, 1.0) for _ in range(bits + 1)]
         probs = [x / sum(raw) for x in raw]
         ids, denom = [], 1.0
         for j in range(bits):
@@ -199,11 +204,13 @@ def brute_map(groups, tree):
                 total += w
         return total
 
-    best = max(
-        score(qvals)
-        for qvals in itertools.product(*(range(len(groups[g][0])) for g in query))
-    )
+    best = max(score(qvals) for qvals in query_values(groups))
     return best, score
+
+
+def query_values(groups):
+    """Every tuple of values of the query groups, in group order."""
+    return itertools.product(*(range(len(p)) for p, _, q in groups if q))
 
 
 def random_case(seed, max_vars=12, manager_factory=None, order_weights=True):

@@ -1,12 +1,13 @@
 """Seeded random programs for property tests.
 
 random_case draws a propositional program with a query and evidence.  Every
-case is a pure function of its seed: at most four annotated clauses (six
-choice variables would need four clauses of three heads, so the world count
-stays tiny), at most three heads per clause, deterministic rules in a second
-stratum whose bodies may negate first-stratum atoms, and optional positive
-recursion inside either stratum.  Evidence is resampled until the oracle
-certifies it has positive probability.
+case is a pure function of its seed and of ties: at most four annotated
+clauses (six choice variables would need four clauses of three heads, so the
+world count stays tiny), at most three heads per clause, deterministic rules
+in a second stratum whose bodies may negate first-stratum atoms, and
+optional positive recursion inside either stratum.  Evidence is resampled
+until the oracle certifies it has positive probability.  untied redraws a
+program's probabilities so that its maximisers are unique.
 
 random_first_order_src draws first-order program text, random_demand the
 atoms to ground it for, and backward_cone is the reference for what
@@ -16,7 +17,7 @@ grounding with a demand must return.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from lpadc.grounder import ground
 from lpadc.model import Atom, Literal
@@ -37,17 +38,22 @@ class Case:
     evidence: tuple  # Literals, possibly empty
 
 
-def _head_probs(rng, k):
+def _head_probs(rng, k, ties):
+    if ties:
+        probs = [rng.choice((0.25, 0.5)) for _ in range(k)]
+        while sum(probs) > 1.0:
+            probs[probs.index(0.5)] = 0.25
+        return probs
     weights = [rng.uniform(0.1, 1.0) for _ in range(k)]
     total = 1.0 if rng.random() < 0.4 else rng.uniform(0.3, 0.95)
     scale = total / sum(weights)
     return [w * scale for w in weights]
 
 
-def _choice_clause(rng):
+def _choice_clause(rng, ties):
     k = rng.randint(1, 3)
     heads = rng.sample(_HEAD_POOL, k)
-    probs = _head_probs(rng, k)
+    probs = _head_probs(rng, k, ties)
     text = "; ".join("%s:%r" % (a, p) for a, p in zip(heads, probs))
     if rng.random() < 0.5:
         body = rng.sample(_HEAD_POOL, rng.randint(1, 2))
@@ -77,9 +83,11 @@ def _sample_literals(rng, atoms, n):
     return tuple(out)
 
 
-def random_case(seed):
+def random_case(seed, ties=False):
+    """With ties, head probabilities come from {0.25, 0.5}, so equal
+    probabilities and tied maximisers are common."""
     rng = random.Random(seed)
-    lines = [_choice_clause(rng) for _ in range(rng.randint(1, 4))]
+    lines = [_choice_clause(rng, ties) for _ in range(rng.randint(1, 4))]
     lines.extend(_det_rule(rng) for _ in range(rng.randint(0, 3)))
     src = "\n".join(lines) + "\n"
     program = parse_program(src)
@@ -176,3 +184,19 @@ def backward_cone(gp, atoms):
                         reached.add(lit.atom)
                         stack.append(lit.atom)
     return [gc for gi, gc in enumerate(gp.ground_clauses) if gi in kept], reached
+
+
+def untied(program, seed=0):
+    """The program with the value probabilities of every probabilistic
+    clause, null value included, redrawn at random: a program whose
+    maximisers are unique, with the same ground structure."""
+    rng = random.Random(seed)
+    clauses = []
+    for cl in program.clauses:
+        if cl.n_values > 1:
+            w = [rng.uniform(0.5, 1.0) for _ in range(cl.n_values)]
+            heads = w[-len(cl.heads):]
+            cl = replace(cl, heads=tuple(
+                (atom, x / sum(w)) for (atom, _), x in zip(cl.heads, heads)))
+        clauses.append(cl)
+    return replace(program, clauses=tuple(clauses))

@@ -19,7 +19,7 @@ import bddcases
 from lpadc.benchgen import BenchSpec, gen_graph, run_bench
 from lpadc.bdd import BddManager, available_kernels
 from lpadc.cli import main as cli_main
-from lpadc.compiler import compile_program, compile_query
+from lpadc.compiler import compile_program, compile_query, post_order
 from lpadc.grounder import ground
 from lpadc.infer import map_query, mpe, prob_result
 from lpadc.model import Literal
@@ -146,8 +146,9 @@ def _group_order(cp):
 def test_criterion_6_encoding_equivalence(suite500):
     # every task uses the order encoding; prob_result creates the chains in
     # post-order from the query and evidence atoms, and MPE and MAP create
-    # the query chains first, so these are order-only identity checks
-    reordered = post_ordered = 0
+    # the query chains first, so these are order-only identity checks; MPE
+    # and MAP must also report the same selection under every order
+    reordered = post_ordered = answers = query_post_ordered = 0
     for case in suite500:
         lits = [Literal(case.query)] + list(case.evidence)
         default = compile_program(
@@ -172,11 +173,38 @@ def test_criterion_6_encoding_equivalence(suite500):
         assert p_first == pytest.approx(p_default, abs=1e-9), case.src
         assert first.manager.wmc(f) == pytest.approx(p_first, abs=1e-12), case.src
         reordered += _group_order(first) != _group_order(default)
+
+        # MPE and MAP answer alike in their default layout (query chains in
+        # post-order from the evidence), in index order and in a permutation
+        ev = list(case.evidence)
+        n = len(case.gp.choice_vars)
+        perm = list(range(n))
+        random.Random(case.seed).shuffle(perm)
+        post = post_order(case.gp, [lit.atom for lit in ev])
+        for query in (list(range(n)), query_cvs):
+            if not query:
+                continue
+            if len(query) == n:
+                res = mpe(case.program, ev, gp=case.gp)
+            else:
+                res = map_query(case.program, ev, query, gp=case.gp)
+            for order in (list(range(n)), perm):
+                other = map_query(case.program, ev, query, gp=case.gp,
+                                  creation_order=order)
+                assert other.assignment.as_dict() == res.assignment.as_dict(), case.src
+                assert math.isclose(other.log_value, res.log_value,
+                                    rel_tol=1e-12), case.src
+            answers += 1
+            query_post_ordered += [ci for ci in post if ci in query] != query
     assert reordered > 0
     assert post_ordered > 0
+    assert query_post_ordered > 0
     print("criterion 6: PASS (post-order, query-first and index order agree "
           "and prob == wmc on all 500 programs; post-order differs from index "
-          "order on %d, query-first on %d)" % (post_ordered, reordered))
+          "order on %d, query-first on %d; %d MPE/MAP answers equal in the "
+          "default layout, index order and a permutation, with the query "
+          "chains out of index order in %d default layouts)"
+          % (post_ordered, reordered, answers, query_post_ordered))
 
 
 def test_criterion_7_kernel_properties():

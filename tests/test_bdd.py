@@ -139,14 +139,15 @@ def test_wmc_counts_onehot_selections(kernel):
         )
 
 
-def test_map_best_matches_brute_force(kernel):
-    # formulas over order-encoded chains that depend only on the selected
-    # values, with query and summed-out groups and complemented edges
+def _check_map_best(kernel, ties):
+    """Compare map_best with enumeration on 150 chain cases; returns how
+    many it did not call unique."""
+    tied = 0
     for seed in range(150):
         m = mk(kernel)
-        groups, tree, ref = bddcases.chain_case(seed, m)
+        groups, tree, ref = bddcases.chain_case(seed, m, ties=ties)
         want, score = bddcases.brute_map(groups, tree)
-        log_value, choices = m.map_best(ref)
+        log_value, choices, unique = m.map_best(ref)
         assert math.isclose(math.exp(log_value), want, rel_tol=1e-12,
                             abs_tol=1e-300), "seed %d" % seed
         if want == 0.0:
@@ -158,6 +159,36 @@ def test_map_best_matches_brute_force(kernel):
             if is_query:
                 picks.append(choices.get(g, probs.index(max(probs))))
         assert math.isclose(score(picks), want, rel_tol=1e-12), "seed %d" % seed
+        best = [q for q in bddcases.query_values(groups)
+                if math.isclose(score(q), want, rel_tol=1e-9)]
+        # unique promises a single maximiser; several always clear it
+        assert len(best) == 1 or not unique, "seed %d" % seed
+        tied += not unique
+    return tied
+
+
+def test_map_best_matches_brute_force(kernel):
+    # formulas over order-encoded chains that depend only on the selected
+    # values, with query and summed-out groups and complemented edges
+    assert _check_map_best(kernel, ties=False) == 0
+
+
+def test_map_best_reports_ties(kernel):
+    # probabilities from a two-value set make tied maximisers common
+    assert _check_map_best(kernel, ties=True) > 20
+
+
+def test_map_best_flags_a_tie_between_groups(kernel):
+    # each group's best value is unique, but two selections score 0.24
+    m = mk(kernel)
+    a = m.var(m.new_var(0, 0, 0.6, is_query=True))
+    b = m.var(m.new_var(1, 0, 0.4, is_query=True))
+    both = (a & b) | (~a & ~b)
+    assert not m.map_best(both)[2]
+    assert m.map_best(a & b)[2]  # 0.24 against 0 for the rest
+    # a summed-out group splits the tie
+    c = m.var(m.new_var(2, 0, 0.5))
+    assert m.map_best((a & b) | (~a & ~b & c))[2]
 
 
 def test_map_best_rejects_query_vars_below_others(kernel):

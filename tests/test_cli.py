@@ -112,6 +112,16 @@ def test_stats_flag(capsys):
     assert "stat bool_vars: 3" in out
 
 
+def test_stats_report_the_tie_recompile(capsys):
+    # the diagnosis MPE has two maximisers, settled by an index-order compile
+    code, out, _ = run(capsys, "mpe", DIAGNOSIS, "--stats")
+    assert code == 0
+    assert "stat tie_recompiled: True" in out
+    code, out, _ = run(capsys, "mpe", COLORS_MPE, "--json")
+    assert code == 0
+    assert json.loads(out)["stats"]["tie_recompiled"] is False
+
+
 def test_dump_ground_goes_to_stderr(capsys):
     code, out, err = run(capsys, "prob", COLORS, "--dump-ground")
     assert code == 0

@@ -17,7 +17,7 @@ from lpadc.model import Literal
 from lpadc.oracle import exact_prob
 from lpadc.parser import parse_program
 
-from randprog import map_subset, random_case
+from randprog import map_subset, random_case, untied
 
 THREE = """
 a:0.2; b:0.3; c:0.5.
@@ -362,9 +362,10 @@ def test_post_order_chain_deeper_than_recursion_limit():
     assert post_order(gp, [parse_atom("p%d" % n)]) == list(range(n + 1))
 
 
-def test_max_tasks_keep_query_chains_in_index_order(monkeypatch):
-    # ties in map_best depend on the order of the query chains, so MPE and
-    # MAP create them in index order; only the other chains are post-ordered
+def test_max_tasks_put_query_chains_in_post_order(monkeypatch):
+    # MPE and MAP create the query chains first and then the rest, each part
+    # in post-order from the evidence atoms; infer settles a tie by a second
+    # compile in index order, which this untied program does not need
     import lpadc.infer
     from lpadc.benchgen import gen_gh
     from lpadc.infer import map_query, mpe
@@ -376,15 +377,19 @@ def test_max_tasks_keep_query_chains_in_index_order(monkeypatch):
         return compiled[-1]
 
     monkeypatch.setattr(lpadc.infer, "compile_program", recording)
-    program = gen_gh(6, 0)
+    program = untied(gen_gh(6, 0))
     gp = ground(program)
     n = len(gp.choice_vars)
+    order = post_order(gp, [lit.atom for lit in program.evidence])
+    assert order != list(range(n))  # the post-order is a real reordering here
     query_cvs = list(range(0, n, 2))
-    rest = [ci for ci in post_order(gp, program.queries) if ci not in query_cvs]
-    assert rest != sorted(rest)  # the post-order is a real reordering here
-    mpe(program, gp=gp)
-    map_query(program, query_cvs=query_cvs, gp=gp)
-    for cp, want in zip(compiled, (list(range(n)), query_cvs + rest)):
+    first = [ci for ci in order if ci in query_cvs]
+    assert first != query_cvs
+    results = [mpe(program, gp=gp), map_query(program, query_cvs=query_cvs, gp=gp)]
+    assert not any(res.stats.tie_recompiled for res in results)
+    wants = (order, first + [ci for ci in order if ci not in query_cvs])
+    assert len(compiled) == len(wants)
+    for cp, want in zip(compiled, wants):
         m = cp.manager
         assert [m.var_info(v).group for v in m.level_order()] == [
             ci for ci in want for _ in cp.encoding.group_vars(ci)

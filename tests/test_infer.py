@@ -1,8 +1,10 @@
 """End-to-end inference: marginals, MPE, and MAP against the oracle."""
 
 import gc
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -27,6 +29,7 @@ from randprog import (
     random_case,
     random_demand,
     random_first_order_src,
+    untied,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,6 +81,8 @@ def test_diagnosis_mpe(kernel, ex4):
     gp = ground(program)
     want, _ = exact_mpe(gp, [parse_literal("positive")])
     assert res.value == pytest.approx(want, abs=1e-12)
+    # disease alone and malfunction alone score alike; index order settles it
+    assert res.stats.tie_recompiled
 
 
 def test_diagnosis_conditional(kernel, ex4):
@@ -190,8 +195,10 @@ def test_json_shape(kernel, ex2):
         "bool_vars",
         "bdd_nodes",
         "fixpoint_iterations",
+        "tie_recompiled",
         "wall_time_s",
     }
+    assert d["stats"]["tie_recompiled"] is False
 
 
 def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
@@ -256,6 +263,22 @@ def test_post_order_keeps_marginal_diagrams_small(kernel, family, size, max_node
     res = prob_result(program, program.queries[0], evidence=[], kernel=kernel,
                       node_cap=200_000)
     assert 0.0 < res.value <= 1.0
+    assert res.stats.bdd_nodes <= max_nodes
+
+
+@pytest.mark.parametrize(
+    "family,size,max_nodes",
+    # index order builds 53,248 nodes on gh 13 and passes 200,000 on blood 3
+    [("gh", 13, 100), ("blood", 3, 100), ("blood", 4, 150)],
+)
+def test_post_order_keeps_mpe_diagrams_small(kernel, family, size, max_nodes):
+    from lpadc.benchgen import generate
+
+    # the generators' equal probabilities tie every maximiser, which the
+    # index-order layout settles; redrawn ones leave the post-order alone
+    program = untied(generate(family, size, 0))
+    res = mpe(program, kernel=kernel, node_cap=200_000)
+    assert not res.stats.tie_recompiled
     assert res.stats.bdd_nodes <= max_nodes
 
 
@@ -391,6 +414,66 @@ def test_random_mpe_bounded_by_evidence_probability(kernel):
         res = mpe(case.program, evidence=list(case.evidence), kernel=kernel)
         p_ev = exact_prob(case.gp, list(case.evidence))
         assert res.value <= p_ev + 1e-12, case.src
+
+
+# sha256 of the sorted picks below, as reported before MPE and MAP
+# post-ordered their query chains (ties then followed index order)
+TIE_SWEEP_PICKS_SHA256 = (
+    "d45d705521749cc4e6e62d89f6006e124948ae0d79e590a630d3cacc43a23d79"
+)
+
+
+def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
+    # probabilities from {0.25, 0.5} make tied maximisers common; the answer
+    # must be an oracle maximiser and the same under every creation order
+    picks = []
+    recompiled = 0
+    for seed in range(300):
+        case = random_case(seed, ties=True)
+        ev = list(case.evidence)
+        n = len(case.gp.choice_vars)
+        shuffled = list(range(n))
+        random.Random(seed).shuffle(shuffled)
+        orders = (list(range(n)), list(reversed(range(n))), shuffled)
+        runs = [("mpe", mpe(case.program, ev, kernel=kernel, gp=case.gp),
+                 range(n), exact_mpe(case.gp, ev))]
+        query_cvs = map_subset(case)
+        if query_cvs:
+            runs.append(("map", map_query(case.program, ev, query_cvs,
+                                          kernel=kernel, gp=case.gp),
+                         query_cvs, exact_map(case.gp, ev, query_cvs)))
+        for task, res, query, (want, argmax) in runs:
+            pick = res.assignment.as_dict()
+            assert res.value == pytest.approx(want, abs=1e-9), case.src
+            assert pick in argmax, case.src
+            picks.append((seed, task, sorted(pick.items())))
+            recompiled += res.stats.tie_recompiled
+            for order in orders if n else ():
+                # MPE is MAP over every choice variable
+                other = map_query(case.program, ev, list(query), kernel=kernel,
+                                  gp=case.gp, creation_order=order)
+                assert other.assignment.as_dict() == pick, (case.src, order)
+                assert math.isclose(other.log_value, res.log_value,
+                                    rel_tol=1e-12), (case.src, order)
+    assert 0 < recompiled < len(picks)
+    digest = hashlib.sha256(repr(sorted(picks)).encode()).hexdigest()
+    assert digest == TIE_SWEEP_PICKS_SHA256
+
+
+def test_tie_in_a_jumped_group_settled_in_index_order(kernel):
+    # two maximisers, a with x and \+a with y, both 0.5 * 0.75 * 0.75; with
+    # a's chain on top the tie goes to a, with a's chain below x and y the
+    # best path never tests a, so only the tied-group check catches it
+    program = parse_program(
+        "a:0.5.\nx:0.75.\ny:0.75.\ne :- a, x.\ne :- \\+a, y.\nevidence(e).\n"
+    )
+    want = {0: 1, 1: 1, 2: 1}
+    assert mpe(program, kernel=kernel).assignment.as_dict() == want
+    for order in ([1, 2, 0], [2, 1, 0]):
+        res = map_query(program, query_cvs=[0, 1, 2], kernel=kernel,
+                        creation_order=order)
+        assert res.stats.tie_recompiled
+        assert res.assignment.as_dict() == want
 
 
 def test_map_creation_order_invariance(kernel):

@@ -109,6 +109,60 @@ def test_parse_atom_and_literal_helpers():
     assert lit.negated and str(lit.atom) == "blue(b1)"
 
 
+@pytest.mark.parametrize(
+    "parse,src,message,position",
+    [
+        (parse_program, "a:0.5\nb:0.2.",  # missing period
+         "<string>:2:1: expected '.', found 'b'", (2, 1)),
+        (parse_program, "a:0.5 @ b.",
+         "<string>:1:7: unexpected character '@'", (1, 7)),
+        (parse_program, "a:1.5.",
+         "<string>:1:3: head probability 1.5 outside [0,1]", (1, 3)),
+        (parse_program, "a; b:0.5.",
+         "<string>:1:1: every head of a disjunction needs a probability "
+         "annotation", (1, 1)),
+        (parse_program, "p(_) :- q(_).",
+         "<string>:1:3: anonymous variables are not supported", (1, 3)),
+        (parse_program, "p(1.5).",
+         "<string>:1:3: float constants are not terms", (1, 3)),
+        (parse_program, "a:0.5.\n  b :-\n\tc d.",
+         "<string>:3:4: expected '.', found 'd'", (3, 4)),
+        (parse_program, "a.\n% comment\n  - b.",
+         "<string>:3:3: unexpected character '-'", (3, 3)),
+        (parse_program, "a :- b",
+         "<string>:1:7: expected '.', found 'end of input'", (1, 7)),
+        (parse_program, "a:0.0.",
+         "<string>:1:1: clause has no head with positive probability", (1, 1)),
+        (parse_program, "q(a) :- \\+ (b.",
+         "<string>:1:14: expected ')', found '.'", (1, 14)),
+        (parse_atom, "p(a) q",
+         "<atom>:1:6: expected 'EOF', found 'q'", (1, 6)),
+        (parse_atom, "p(a,)",
+         "<atom>:1:5: expected a term, found ')'", (1, 5)),
+        (parse_literal, "\\+",
+         "<literal>:1:3: expected 'IDENT', found 'end of input'", (1, 3)),
+    ],
+)
+def test_parse_error_messages_and_positions(parse, src, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+    assert (err.value.span.line, err.value.span.col) == position
+
+
+def test_warning_texts():
+    program = parse_program(
+        "a:0.5.\nquery(a).\n  query(a).\nevidence(a).\nevidence(a).\n"
+        "b:0.5; c:0.0.",
+        filename="w.lpad",
+    )
+    assert program.warnings == (
+        "w.lpad:3:3: duplicate query directive a",
+        "w.lpad:5:1: duplicate evidence directive a",
+        "w.lpad:6:1: dropped 1 zero-probability head(s)",
+    )
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_program("a:0.5\nb:0.2.")  # missing period
