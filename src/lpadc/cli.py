@@ -93,7 +93,8 @@ def _cmd_prob(args):
 
 def _cmd_best(args, task):
     program = _read_program(args)
-    gp = ground(program)
+    roots = [lit.atom for lit in program.evidence]
+    gp = ground(program, roots, choices=True)
     _dump_ground(args, gp)
     kw = {
         "normalize": args.normalize,
@@ -106,7 +107,6 @@ def _cmd_best(args, task):
     else:
         result = infer.map_query(program, **kw)
     if args.dot:
-        roots = [lit.atom for lit in program.evidence]
         cp = compile_program(gp, task=task, kernel=args.kernel,
                              node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, list(program.evidence)))
@@ -170,7 +170,7 @@ def _cmd_dot(args):
     else:
         literals = list(program.evidence)
     roots = [lit.atom for lit in literals]
-    gp = ground(program, roots if args.task == "prob" else None)
+    gp = ground(program, roots, choices=args.task != "prob")
     cp = compile_program(gp, task=args.task, kernel=args.kernel,
                          node_cap=args.node_cap, roots=roots)
     ref = compile_query(cp, literals)

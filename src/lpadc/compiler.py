@@ -22,8 +22,10 @@ MPE and MAP use the same encoding.  Their query choice variables' chains are
 created first, in the relative order of the same post-order (or of the
 caller's creation_order), so they sit on the top levels of the diagram,
 which is the layout the max-product pass in BddManager.map_best needs.
-Which of several equal maximisers that pass reports depends on the order of
-the query chains; lpadc.infer settles ties in index order.
+lpadc.infer passes the evidence's cone_order as the creation order, so only
+the variables the evidence depends on get chains.  Which of several equal
+maximisers the pass reports depends on the order of the query chains;
+lpadc.infer settles ties in index order.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to
@@ -47,10 +49,11 @@ class CompileError(Exception):
 
 
 class Encoding:
-    """Boolean variable chains for every choice variable of a ground program.
+    """Boolean variable chains for the choice variables of a ground program.
 
-    The query choice variables' chains are created first, then the rest, each
-    part in the relative order of creation_order (default: index order);
+    Chains are created for the variables creation_order lists (default:
+    every one, in index order), the query choice variables' first and then
+    the rest, each part in the relative order of creation_order;
     compile_program passes the post-order of its root atoms.  self.order is
     the choice variables in the order their chains were created.
     """
@@ -105,6 +108,8 @@ class Encoding:
             return hit
         m = self.manager
         ids = self.var_ids[ci]
+        if ids is None:
+            raise CompileError("choice variable %d has no chain" % ci)
         pos = self._chain_position(ci, k)
         out = m.true
         for i in range(min(pos, len(ids))):
@@ -137,12 +142,12 @@ class CompiledProgram:
         return self.encoding.query_cvs
 
 
-def post_order(gp, atoms):
-    """Choice-variable indices in depth-first post-order from the given atoms:
-    the walk follows every ground clause that derives an atom, visits the
-    clause's body atoms, and only then emits its choice variable.  Variables
-    the walk never reaches follow in index order.  An explicit stack keeps
-    long derivation chains clear of the recursion limit."""
+def cone_order(gp, atoms):
+    """The choice variables the given atoms depend on, in depth-first
+    post-order: the walk follows every ground clause that derives an atom,
+    visits the clause's body atoms, and only then emits its choice variable.
+    A formula compiled for the atoms tests no other variable.  An explicit
+    stack keeps long derivation chains clear of the recursion limit."""
     order = []
     seen_atoms = set()
     seen_clauses = set()
@@ -164,6 +169,13 @@ def post_order(gp, atoms):
             seen_clauses.add(item[0])
             body = (lit.atom for lit in gp.ground_clauses[item[0]].body)
             work.append((item[0], body, True))
+    return order
+
+
+def post_order(gp, atoms):
+    """cone_order(gp, atoms), then the variables it does not reach in index
+    order."""
+    order = cone_order(gp, atoms)
     reached = set(order)
     return order + [ci for ci in range(len(gp.choice_vars)) if ci not in reached]
 

@@ -7,7 +7,9 @@ over-approximates but never loses an instance some world uses.
 ground(program) grounds every possible atom; ground(program, demand) returns
 only the part the demanded ground atoms depend on (their backward cone): the
 instances with a head in the cone, where the cone holds the demanded atoms
-and every body atom, positive or negated, of those instances.
+and every body atom, positive or negated, of those instances.  With
+choices=True the heads of every instance of every probabilistic clause are
+demanded too, so the part holds every choice variable of the program.
 
 The possible atoms are a least fixpoint, computed by semi-naive evaluation
 (Bancilhon & Ramakrishnan, SIGMOD 1986) in rounds.  Round 0 fires the
@@ -23,8 +25,10 @@ and on (pred, arity) when none is; only positions some literal probes while
 bound are indexed.
 
 With a demand, a static adornment pass first follows the calls from the
-demanded atoms, passing bindings left to right through each clause body,
-negated literals after the positive ones (sideways information passing).
+demanded atoms (with choices, also from each head of each probabilistic
+clause, its constants bound and its variables free), passing bindings left
+to right through each clause body, negated literals after the positive ones
+(sideways information passing).
 If some predicate defined by a clause with variables is called with a free
 argument (reachability: path(0, 99) calls path(0, Z)), the program is
 evaluated under the demand (magic-set) rewrite (Beeri & Ramakrishnan, PODS
@@ -45,7 +49,10 @@ numbered (grounding_id) by round and, within a round, by the numbers of
 their positive body atoms in literal order, compared lexicographically.
 Choice variables follow their instances in clause order.  A cone is numbered
 densely in the same relative order as the whole program: its rounds are
-replayed over the cone, whose atoms have the same derivations there.
+replayed over the cone, whose atoms have the same derivations there.  A
+part grounded with choices holds every instance of every probabilistic
+clause, so its choice variables, indices and grounding ids are the whole
+program's.
 
 The strata of the ground program are its strongly connected components
 over ground atoms, in condensation order (dependencies first), found by one
@@ -110,12 +117,14 @@ class Strata:
 
 
 class GroundProgram:
-    def __init__(self, program, ground_clauses, choice_vars, atoms, demand=None):
+    def __init__(self, program, ground_clauses, choice_vars, atoms, demand=None,
+                 choices=True):
         self.program = program
         self.ground_clauses = tuple(ground_clauses)
         self.choice_vars = tuple(choice_vars)
         self.atoms = tuple(atoms)  # the instances' heads in derivation order
         self.demand = demand  # the demanded atoms, None for the whole program
+        self.choices = choices  # holds every instance of every probabilistic clause
         self.rules_by_head = {}
         for gi, gc in enumerate(self.ground_clauses):
             for pos, (a, _) in enumerate(gc.heads):
@@ -334,12 +343,12 @@ def _demand_atom(atom, adornment):
 
 
 def _demand_program(program, demand):
-    """The demand rewrite of program for the demanded ground atoms, as
-    (clauses, origins), or None when no predicate defined by a clause with
-    variables is ever called with a free argument.  origins[k] is
-    (source clause number, literals to drop from the front of each instance
-    body) for a clause whose instances belong to the result, None for the
-    rules that derive demand and guard atoms."""
+    """The demand rewrite of program for the demanded atoms, whose variables
+    are free arguments, as (clauses, origins), or None when no predicate
+    defined by a clause with variables is ever called with a free argument.
+    origins[k] is (source clause number, literals to drop from the front of
+    each instance body) for a clause whose instances belong to the result,
+    None for the rules that derive demand and guard atoms."""
     with_vars = [bool(cl.variables()) for cl in program.clauses]
     rules = {}  # (pred, arity) -> [(clause number, head)] over clauses with variables
     for ci, cl in enumerate(program.clauses):
@@ -361,7 +370,7 @@ def _demand_program(program, demand):
     for atom in [*demand, *(lit.atom for cl, v in zip(program.clauses, with_vars)
                             if not v for lit in cl.body)]:
         if _key(atom) in rules:
-            adornment = (True,) * len(atom.args)
+            adornment = tuple(not isinstance(t, Var) for t in atom.args)
             seeds[_demand_atom(atom, adornment)] = None
             call(atom, adornment)
     while work:
@@ -476,7 +485,7 @@ def _cone(instances, demand):
     return ordered, atoms
 
 
-def _ground_program(program, instances, atoms, demand=None):
+def _ground_program(program, instances, atoms, demand=None, choices=True):
     ground_clauses = []
     choice_vars = []
     for cl, insts in zip(program.clauses, instances):
@@ -514,7 +523,7 @@ def _ground_program(program, instances, atoms, demand=None):
                     cv_index=cv_index,
                 )
             )
-    return GroundProgram(program, ground_clauses, choice_vars, atoms, demand)
+    return GroundProgram(program, ground_clauses, choice_vars, atoms, demand, choices)
 
 
 def _ground_all(program):
@@ -525,10 +534,11 @@ def _ground_all(program):
     return _ground_program(program, instances, atoms)
 
 
-def ground(program, demand=None):
+def ground(program, demand=None, choices=False):
     """The possible-atom ground program, or with demand (ground atoms) the
-    part of it those atoms depend on; deterministic for a fixed input (see
-    the module docstring for the order)."""
+    part of it those atoms depend on; with choices as well, the part that
+    they and every probabilistic clause's instances depend on.  Deterministic
+    for a fixed input (see the module docstring for the order)."""
     non_ground = [cl for cl in program.clauses if cl.variables()]
     if non_ground and not program.constants():
         raise GroundingError(
@@ -538,7 +548,10 @@ def ground(program, demand=None):
     if demand is None:
         return _ground_all(program)
     demand = tuple(demand)
-    rewrite = _demand_program(program, demand)
+    probabilistic = [choices and not cl.is_deterministic for cl in program.clauses]
+    patterns = tuple(a for cl, p in zip(program.clauses, probabilistic) if p
+                     for a, _ in cl.heads)
+    rewrite = _demand_program(program, demand + patterns)
     if rewrite is None:
         instances = _fixpoint(program.clauses)[1]
     else:
@@ -548,8 +561,10 @@ def ground(program, demand=None):
             if origin is not None:
                 ci, drop = origin
                 instances[ci].extend((heads, body[drop:]) for heads, body in insts)
-    instances, atoms = _cone(instances, demand)
-    return _ground_program(program, instances, atoms, demand)
+    seeds = demand + tuple(a for p, insts in zip(probabilistic, instances) if p
+                           for heads, _ in insts for a, _ in heads)
+    instances, atoms = _cone(instances, seeds)
+    return _ground_program(program, instances, atoms, demand, choices)
 
 
 def _components(nodes, succ):

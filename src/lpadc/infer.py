@@ -13,8 +13,8 @@ path enters a chain at its first bit and leaves it after a 1-branch.
 
 The pass also says whether its maximiser is unique.  When it may not be, the
 reported one depends on the order of the query chains, so the program is
-compiled once more with the query chains in index order (the other chains
-keep their order) and the answer comes from that diagram.  Value, log_value
+compiled once more with every query chain, in index order (the other chains
+keep their order), and the answer comes from that diagram.  Value, log_value
 and selection therefore do not depend on the variable order;
 stats.tie_recompiled records the second compile.
 
@@ -28,11 +28,17 @@ means any head yields the same remainder, so the maximum picks the
 heaviest).
 
 A marginal grounds only what its query and evidence atoms depend on
-(grounder.ground with a demand).  MPE and MAP ground the whole program,
-because their assignments cover every query choice variable.  Every entry
-point validates the program, also when the caller passes a ground program of
-its own; one grounded for a demand is accepted only by prob_result, and only
-when its demand covers the query and evidence atoms.
+(grounder.ground with a demand).  MPE and MAP ground what the evidence atoms
+and every probabilistic clause depend on (choices=True), because their
+assignments cover every query choice variable; the choice variables keep
+the whole program's numbering.  They create chains only for the evidence's
+cone (compiler.cone_order): the diagram tests no other variable, so every
+other query variable takes its most probable head and adds its log
+probability to log_value, a summed-out one adds nothing, and a tie among
+them recompiles nothing.  Every entry point validates the program, also when
+the caller passes a ground program of its own; one grounded for a demand is
+accepted only when it covers the task's: its demand holds the query and
+evidence atoms, and for MPE and MAP it was grounded with choices.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 
 from . import grounder
 from .bdd import _log
-from .compiler import compile_program, compile_query
+from .compiler import compile_program, compile_query, cone_order
 from .model import Assignment, Literal, validate
 
 
@@ -135,13 +141,16 @@ def _evidence_of(program, evidence):
     return tuple(evidence)
 
 
-def _ground(program, gp, demand=None):
-    """The ground program for the demanded atoms, None meaning every atom; a
-    caller's gp grounded for a demand must have been grounded for these."""
+def _ground(program, gp, demand, choices=False):
+    """The ground program for the demanded atoms, with choices also for
+    every probabilistic clause (grounder.ground); a caller's gp grounded for
+    a demand must cover this one."""
     check_program(program)
     if gp is None:
-        gp = grounder.ground(program, demand)
-    elif gp.demand is not None and (demand is None or not set(demand) <= set(gp.demand)):
+        gp = grounder.ground(program, demand, choices)
+    elif gp.demand is not None and not (
+        set(demand) <= set(gp.demand) and (gp.choices or not choices)
+    ):
         raise InferError("the ground program was grounded for other atoms")
     gp.strata()  # raises on non-stratified programs before any BDD work
     return gp
@@ -193,8 +202,7 @@ def decode(choices, encoding, query_cvs):
 
 def _maximize(gp, task, ev, creation_order, **kwargs):
     """Compile the evidence for a max task and run the max-product pass."""
-    cp = compile_program(gp, task=task, creation_order=creation_order,
-                         roots=[lit.atom for lit in ev], **kwargs)
+    cp = compile_program(gp, task=task, creation_order=creation_order, **kwargs)
     eref = compile_query(cp, list(ev))
     if eref.is_false:
         # every variable weight is positive, so an unsatisfiable BDD is the
@@ -207,18 +215,29 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
                  creation_order=None):
     start = time.perf_counter()
     ev = _evidence_of(program, evidence)
-    gp = _ground(program, gp)
+    roots = [lit.atom for lit in ev]
+    gp = _ground(program, gp, roots, choices=True)
+    # chains only for the evidence cone: the diagram tests no other variable
+    cone = cone_order(gp, roots)
+    if creation_order is not None:
+        inside = set(cone)
+        cone = [ci for ci in creation_order if ci in inside]
     kwargs = dict(query_cvs=query_cvs, kernel=kernel, node_cap=node_cap)
-    cp, eref, (log_value, choices, unique) = _maximize(
-        gp, task, ev, creation_order, **kwargs)
+    cp, eref, (log_value, choices, unique) = _maximize(gp, task, ev, cone, **kwargs)
     query = sorted(cp.query_cvs)
     recompile = not unique and cp.encoding.order[:len(query)] != query
     if recompile:
-        # settle the tie as index order does: same answer for every layout
-        order = query + cp.encoding.order[len(query):]
+        # settle the tie as index order does, the same answer for every
+        # layout; the query chains outside the cone add no node, but they keep
+        # the pass's log sums, and so the tie-breaking, the whole program's
+        order = query + [ci for ci in cp.encoding.order if ci not in cp.query_cvs]
         del cp, eref  # free the first diagram before building the second
         cp, eref, (log_value, choices, _) = _maximize(gp, task, ev, order, **kwargs)
     assignment = decode(choices, cp.encoding, cp.query_cvs)
+    # a query variable outside the cone takes its most probable head whatever
+    # the rest selects; a summed-out one contributes its total mass, 1
+    log_value += sum(math.log(max(gp.choice_vars[ci].probs))
+                     for ci in cp.query_cvs if cp.encoding.group_vars(ci) is None)
     if normalize:
         p_ev = cp.manager.prob(eref)
         if p_ev <= 0.0:

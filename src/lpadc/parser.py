@@ -226,7 +226,10 @@ def parse_program(text, filename="<string>"):
             warnings.append("%s: dropped %d zero-probability head(s)" % (p.span(start), len(heads) - len(kept)))
         if not kept:
             raise ParseError("clause has no head with positive probability", p.span(start))
-        implicit_null(kept)  # raises on sum > 1
+        try:
+            implicit_null(kept)
+        except ValueError as exc:  # the heads' probabilities sum above 1
+            raise ParseError(str(exc), p.span(start)) from None
         clauses.append(
             AnnotatedClause(
                 clause_id=len(clauses),

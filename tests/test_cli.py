@@ -129,6 +129,43 @@ def test_dump_ground_goes_to_stderr(capsys):
     assert "pick(b1)" not in out
 
 
+GRAPH = (
+    "map_query edge(0,1):0.6.\nedge(1,2):0.7.\nedge(2,3):0.8.\n"
+    "path(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\n"
+    "evidence(path(1,3)).\n"
+)
+
+
+def test_max_tasks_ground_the_evidence_cone(capsys, tmp_path, monkeypatch):
+    # like the Python API, mpe, map and dot --task mpe|map ground what the
+    # evidence and every probabilistic clause depend on; ground shows all
+    import lpadc.cli
+
+    src = tmp_path / "graph.lpad"
+    src.write_text(GRAPH)
+    code, out, _ = run(capsys, "ground", str(src))
+    assert code == 0 and "path(0,3)" in out
+    for task, value in (("mpe", 0.6 * 0.7 * 0.8), ("map", 0.6 * 0.7 * 0.8)):
+        code, out, err = run(capsys, task, str(src), "--dump-ground", "--stats")
+        assert code == 0
+        assert first_value(out) == pytest.approx(value, abs=1e-12)
+        assert "edge(0,1):0.6" in err and "path(1,3)" in err
+        assert "path(0," not in err
+        assert "stat ground_atoms: 5" in out  # of 9 in the whole program
+    grounded = []
+    real_ground = lpadc.cli.ground
+
+    def recording(*args, **kwargs):
+        grounded.append(real_ground(*args, **kwargs))
+        return grounded[-1]
+
+    monkeypatch.setattr(lpadc.cli, "ground", recording)
+    for task in ("mpe", "map"):
+        code, out, _ = run(capsys, "dot", "--task", task, str(src))
+        assert code == 0 and out.startswith("digraph")
+        assert len(grounded[-1].atoms) == 5
+
+
 def test_kernel_flag_matches_default(capsys):
     from lpadc.bdd import available_kernels
 

@@ -10,12 +10,13 @@ from lpadc.compiler import (
     compile_atom,
     compile_program,
     compile_query,
+    cone_order,
     post_order,
 )
 from lpadc.grounder import ground
 from lpadc.model import Literal
 from lpadc.oracle import exact_prob
-from lpadc.parser import parse_program
+from lpadc.parser import parse_atom, parse_program
 
 from randprog import map_subset, random_case, untied
 
@@ -328,11 +329,22 @@ def test_post_order_reached_prefix_then_index_order():
         reached = _reached_cvs(gp, roots)
         assert set(order[: len(reached)]) == reached
         assert order[len(reached):] == sorted(set(range(n)) - reached)
+        assert cone_order(gp, roots) == order[: len(reached)]
     gp = _gp("a:0.5.\nb:0.5.\nc :- b.\nd:0.5 :- c.\ne:0.5.\n")
     from lpadc.parser import parse_atom
 
     assert post_order(gp, [parse_atom("d")]) == [1, 2, 0, 3]
     assert post_order(gp, []) == [0, 1, 2, 3]
+
+
+def test_a_formula_over_a_variable_without_a_chain_is_rejected():
+    # MPE and MAP create chains only for the evidence's cone
+    gp = _gp("a:0.5.\nb:0.5.\nc :- b.\n")
+    cp = compile_program(gp, task="mpe", creation_order=cone_order(gp, [parse_atom("a")]))
+    assert cp.manager.num_vars == 1
+    assert not compile_query(cp, [Literal(parse_atom("a"))]).is_false
+    with pytest.raises(CompileError):
+        compile_query(cp, [Literal(parse_atom("c"))])
 
 
 def test_post_order_puts_body_variables_first():

@@ -313,6 +313,39 @@ def test_demand_grounds_exactly_the_cone():
     assert rewritten > 100 and plain > 100, (rewritten, plain)
 
 
+def test_choices_demand_keeps_the_whole_programs_choice_variables():
+    # MPE and MAP ground the evidence's cone plus every probabilistic
+    # clause: the part is the backward cone of the demand and of every
+    # probabilistic instance's heads, and its choice variables are the whole
+    # program's, with the same numbers
+    smaller = rewritten = 0
+    for seed in range(300):
+        program = parse_program(random_first_order_src(seed))
+        full = ground(program)
+        demand = random_demand(program, full, seed) if seed % 3 else []
+        gp = ground(program, demand, choices=True)
+        assert [_cv_key(cv) for cv in gp.choice_vars] == [
+            _cv_key(cv) for cv in full.choice_vars
+        ], seed
+        heads = [a for gc in full.ground_clauses if gc.cv_index is not None
+                 for a, _ in gc.heads]
+        kept, reached = backward_cone(full, demand + heads)
+        assert [_key(gc) for gc in gp.ground_clauses] == [_key(gc) for gc in kept], seed
+        assert [a for a in gp.atoms if a in reached] == [
+            a for a in full.atoms if a in reached
+        ], seed
+        assert gp.choices and gp.demand == tuple(demand)
+        smaller += len(gp.ground_clauses) < len(full.ground_clauses)
+        patterns = tuple(a for cl in program.clauses if not cl.is_deterministic
+                         for a, _ in cl.heads)
+        rewritten += grounder._demand_program(program, tuple(demand) + patterns) is not None
+    assert smaller > 150 and rewritten > 150, (smaller, rewritten)
+
+
+def _cv_key(cv):
+    return cv.index, cv.clause_id, cv.grounding_id, cv.probs, cv.ground_heads
+
+
 def test_demand_grounding_takes_the_rewrite_only_for_free_calls():
     # graph calls path with its second argument free; gh has no variables
     # and blood binds every argument of every call

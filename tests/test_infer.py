@@ -121,6 +121,23 @@ def test_ground_program_for_other_atoms_rejected(ex1):
         mpe(program, gp=gp)
 
 
+def test_max_tasks_take_a_ground_program_that_holds_every_choice(ex1):
+    program = parse_program(ex1)
+    ev = [parse_literal("ev")]
+    want = mpe(program, ev)
+    for gp in (ground(program), ground(program, [parse_atom("ev")], choices=True)):
+        res = mpe(program, ev, gp=gp)
+        assert res.assignment == want.assignment and res.value == want.value
+    # grounded for other evidence, or without every probabilistic clause
+    for gp in (ground(program, [], choices=True), ground(program, [parse_atom("ev")])):
+        with pytest.raises(InferError):
+            mpe(program, ev, gp=gp)
+        with pytest.raises(InferError):
+            map_query(program, ev, [0], gp=gp)
+    gp = ground(program, [parse_atom("ev")], choices=True)
+    assert prob_result(program, parse_atom("ev"), gp=gp).value == pytest.approx(0.94)
+
+
 def test_prob_needs_query(kernel, ex1):
     with pytest.raises(InferError):
         prob_result(parse_program(ex1), None, kernel=kernel)
@@ -199,6 +216,54 @@ def test_json_shape(kernel, ex2):
         "wall_time_s",
     }
     assert d["stats"]["tie_recompiled"] is False
+
+
+def test_tie_outside_the_evidence_cone_needs_no_recompile(kernel):
+    # y and z tie, but the evidence never reaches their clause, so the pick
+    # does not depend on the layout and no chain is created for it
+    program = parse_program("y:0.5; z:0.5.\nx:0.3; w:0.7.\nevidence(x).\n")
+    res = mpe(program, kernel=kernel)
+    assert not res.stats.tie_recompiled
+    assert res.value == pytest.approx(0.15, abs=1e-12)
+    assert [d["head"] for d in res.assignment.to_rule_dicts()] == ["y", "x"]
+    assert (res.stats.choice_vars, res.stats.bool_vars) == (2, 1)
+
+
+def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel):
+    # e(X) and f(X) are never reached from the evidence; every instance is
+    # still named, with its most probable head, and scored by the oracle's
+    # world enumeration over the whole program
+    program = parse_program(
+        "n(1).\nn(2).\nn(3).\nmap_query e(X):0.4; f(X):0.35 :- n(X).\n"
+        "g(X) :- f(X).\na:0.3; c:0.5.\nb :- a.\nevidence(b).\n"
+    )
+    full = ground(program)
+    res = mpe(program, kernel=kernel)
+    assert res.stats.bool_vars == 2  # a's chain only
+    assert res.stats.ground_atoms == len(full.atoms) - 3  # no g(X)
+    picks = {d["body"]: d["head"] for d in res.assignment.to_rule_dicts()}
+    assert picks == {"n(1)": "e(1)", "n(2)": "e(2)", "n(3)": "e(3)", "true": "a"}
+    want, argmax = exact_mpe(full, list(program.evidence))
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.assignment.as_dict() in argmax
+    assert res.log_value == pytest.approx(math.log(0.4 ** 3 * 0.3), rel=1e-12)
+    # MAP: the query choices lie outside the cone, a's is summed out
+    res = map_query(program, kernel=kernel)
+    want, argmax = exact_map(full, list(program.evidence), [0, 1, 2])
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.assignment.as_dict() in argmax
+    assert res.value == pytest.approx(0.4 ** 3 * 0.3, rel=1e-12)
+
+
+def test_negative_cycle_outside_the_evidence_cone_rejected(kernel):
+    program = parse_program(
+        "n(1).\nr(X) :- n(X), \\+ s(X).\ns(X) :- n(X), \\+ r(X).\n"
+        "a:0.3.\nb :- a.\nevidence(b).\n"
+    )
+    with pytest.raises(StratificationError):
+        mpe(program, kernel=kernel)
+    with pytest.raises(StratificationError):
+        map_query(program, query_cvs=[0], kernel=kernel)
 
 
 def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
@@ -293,6 +358,20 @@ def test_marginal_grounds_only_what_the_query_reaches():
     assert (len(full.atoms), len(full.choice_vars)) == (2905, 396)
     assert res.stats.choice_vars == reachable == 18
     assert res.stats.ground_atoms < len(full.atoms) / 20
+
+
+def test_mpe_grounds_only_the_evidence_cone_and_every_choice():
+    from lpadc.benchgen import generate
+
+    program = generate("graph", 400, 1)
+    res = mpe(program)
+    # the whole program has 6,584 atoms: every path(X, Y), not only X = 0
+    assert res.stats.ground_atoms <= 1000
+    assert res.stats.choice_vars == 796
+    whole = mpe(program, gp=ground(program))
+    assert whole.stats.ground_atoms == 6584
+    assert res.assignment == whole.assignment
+    assert math.isclose(res.log_value, whole.log_value, rel_tol=1e-12)
 
 
 def test_tracer_patch_points_exist():

@@ -133,6 +133,10 @@ def test_parse_atom_and_literal_helpers():
          "<string>:1:7: expected '.', found 'end of input'", (1, 7)),
         (parse_program, "a:0.0.",
          "<string>:1:1: clause has no head with positive probability", (1, 1)),
+        (parse_program, "a:0.6; b:0.6.",
+         "<string>:1:1: head probabilities sum to 1.2 > 1", (1, 1)),
+        (parse_program, "a.\n  p(X):0.7; q(X):0.4 :- r(X).",
+         "<string>:2:3: head probabilities sum to 1.1 > 1", (2, 3)),
         (parse_program, "q(a) :- \\+ (b.",
          "<string>:1:14: expected ')', found '.'", (1, 14)),
         (parse_atom, "p(a) q",
