@@ -21,7 +21,7 @@ from .grounder import (
     ground,
     stratify,
 )
-from .bdd import BddManager, BddRef, BddVarInfo, BddError, NodeLimitError, available_kernels
+from .bdd import BddManager, BddRef, BddVarInfo, BddError, NodeLimitError
 from .compiler import (
     CompileError,
     CompiledProgram,
@@ -71,7 +71,6 @@ __all__ = [
     "BddVarInfo",
     "BddError",
     "NodeLimitError",
-    "available_kernels",
     "CompileError",
     "CompiledProgram",
     "Encoding",

@@ -11,11 +11,7 @@ on the 0-branch during weighted counting; the order encoding uses
 (pi, 1 - pi).  Variables also carry a group id (the owning choice variable),
 an index inside the group and a query flag.  The max-product pass for MPE
 and MAP is not part of the kernel: BddManager.map_best runs it over the
-kernel's nodes and prob, so both kernels give the same answer.
-
-The compiled kernel in _bddcore mirrors this class operation for operation;
-keep the two in sync.  (It still carries an older kernel-level map_best and
-an apply_not that nothing calls, and cache switches that default to on.)
+kernel's nodes and prob.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ class NodeLimitError(Exception):
 
 
 class Kernel:
-    name = "py"
-
     def __init__(self, node_cap=1 << 22):
         self.node_cap = node_cap
         # node 0 is the 1-terminal; children unused

@@ -1,9 +1,4 @@
-"""BDD manager facade over the interchangeable kernels.
-
-Two kernels implement the same operations: ``_pybdd`` (pure Python) and
-``_bddcore`` (Cython).  The compiled one is used when importable; set
-``LPADC_KERNEL=py`` or ``LPADC_KERNEL=cy`` to force a choice, or pass
-``kernel=`` to :class:`BddManager`.
+"""BDD manager facade over the pure Python kernel (lpadc._pybdd).
 
 External code holds :class:`BddRef` handles.  Live handles pin their nodes:
 garbage collection (a mark-and-sweep triggered by a node-count threshold)
@@ -12,18 +7,17 @@ references.  The manager holds no handle itself, so a manager and its
 diagrams are freed by reference counting once the last handle goes.
 
 The max-product pass for MPE and MAP (:meth:`BddManager.map_best`) lives
-here rather than in the kernels: it reads the kernel's nodes and weighted
-counts, so both kernels give the same answer.
+here rather than in the kernel: it reads the kernel's nodes and weighted
+counts.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from . import _pybdd
-from ._pybdd import NodeLimitError  # re-exported; kernels share the type
+from ._pybdd import NodeLimitError  # re-exported
 
 DEFAULT_NODE_CAP = 1 << 22
 DEFAULT_GC_THRESHOLD = 1 << 20
@@ -33,42 +27,10 @@ class BddError(Exception):
     pass
 
 
-def _try_import_core():
-    try:
-        from . import _bddcore
-
-        return _bddcore
-    except ImportError:
-        return None
-
-
-def available_kernels():
-    names = ["py"]
-    if _try_import_core() is not None:
-        names.append("cy")
-    return names
-
-
 def default_kernel():
-    env = os.environ.get("LPADC_KERNEL", "").strip().lower()
-    if env in ("py", "cy"):
-        return env
-    if env not in ("", "auto"):
-        raise BddError("LPADC_KERNEL must be 'py', 'cy' or 'auto', not %r" % env)
-    return "cy" if _try_import_core() is not None else "py"
-
-
-def _make_kernel(name, node_cap):
-    if name in (None, "auto"):
-        name = default_kernel()
-    if name == "py":
-        return _pybdd.Kernel(node_cap)
-    if name == "cy":
-        core = _try_import_core()
-        if core is None:
-            raise BddError("the compiled kernel is not available; install with the extension or use kernel='py'")
-        return core.Kernel(node_cap)
-    raise BddError("unknown kernel %r" % name)
+    """The name of the BDD kernel, which is always "py".  Kept because the
+    benchmark worker (perfbench/worker.py) reports it."""
+    return "py"
 
 
 def _log(x):
@@ -152,11 +114,8 @@ class BddRef:
 
 
 class BddManager:
-    def __init__(
-        self, kernel=None, node_cap=DEFAULT_NODE_CAP, gc_threshold=DEFAULT_GC_THRESHOLD
-    ):
-        self._k = _make_kernel(kernel, node_cap)
-        self.kernel_name = self._k.name
+    def __init__(self, node_cap=DEFAULT_NODE_CAP, gc_threshold=DEFAULT_GC_THRESHOLD):
+        self._k = _pybdd.Kernel(node_cap)
         self.gc_threshold = gc_threshold
         self._pins = {}
 
@@ -378,6 +337,9 @@ class BddManager:
                     choices[g] = best[gpos][j + 1]
                 ref = lo
         return log_value, choices, unique
+
+    # No inference path reorders.  Kept while the benchmark's tracer
+    # (perfbench/tracing.py) patches reorder_groups_front by name.
 
     def reorder_groups_front(self, groups):
         self._k.reorder_groups_front(set(groups))

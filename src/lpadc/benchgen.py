@@ -42,7 +42,6 @@ class BenchSpec:
     task: str
     map_fraction: float | None = None
     timeout: float | None = None
-    kernel: str | None = None
     node_cap: int | None = None
 
     def __post_init__(self):
@@ -219,7 +218,7 @@ def _run_task(spec):
     program = generate(spec.family, spec.size, spec.seed)
     query = program.queries[0]
     gp = ground(program, [query] if spec.task == "prob" else None)
-    kw = {"kernel": spec.kernel, "node_cap": spec.node_cap, "gp": gp}
+    kw = {"node_cap": spec.node_cap, "gp": gp}
     if spec.task == "prob":
         result = prob_result(program, query, evidence=[], **kw)
     elif spec.task == "mpe":

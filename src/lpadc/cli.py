@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from dataclasses import replace
 
 from . import benchgen, infer, oracle
-from .bdd import NodeLimitError, available_kernels
+from .bdd import NodeLimitError
 from .compiler import CompileError, compile_program, compile_query
 from .grounder import GroundingError, StratificationError, format_ground, ground
 from .model import Assignment, Literal
@@ -37,7 +38,7 @@ def _read_program(args):
     infer.check_program(program)
     for warning in program.warnings:
         print("warning: %s" % warning, file=sys.stderr)
-    if args.evidence:
+    if getattr(args, "evidence", None):
         extra = tuple(parse_literal(text) for text in args.evidence)
         program = replace(program, evidence=program.evidence + extra)
     return program
@@ -80,12 +81,9 @@ def _cmd_prob(args):
     roots = [query] + [lit.atom for lit in program.evidence]
     gp = ground(program, roots)
     _dump_ground(args, gp)
-    result = infer.prob_result(
-        program, query, kernel=args.kernel, node_cap=args.node_cap, gp=gp
-    )
+    result = infer.prob_result(program, query, node_cap=args.node_cap, gp=gp)
     if args.dot:
-        cp = compile_program(gp, task="prob", kernel=args.kernel,
-                             node_cap=args.node_cap, roots=roots)
+        cp = compile_program(gp, task="prob", node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, [Literal(query)]))
     _emit(args, result)
     return 0
@@ -96,19 +94,13 @@ def _cmd_best(args, task):
     roots = [lit.atom for lit in program.evidence]
     gp = ground(program, roots, choices=True)
     _dump_ground(args, gp)
-    kw = {
-        "normalize": args.normalize,
-        "kernel": args.kernel,
-        "node_cap": args.node_cap,
-        "gp": gp,
-    }
+    kw = {"normalize": args.normalize, "node_cap": args.node_cap, "gp": gp}
     if task == "mpe":
         result = infer.mpe(program, **kw)
     else:
         result = infer.map_query(program, **kw)
     if args.dot:
-        cp = compile_program(gp, task=task, kernel=args.kernel,
-                             node_cap=args.node_cap, roots=roots)
+        cp = compile_program(gp, task=task, node_cap=args.node_cap, roots=roots)
         _write_dot(args, cp, compile_query(cp, list(program.evidence)))
     _emit(args, result)
     return 0
@@ -171,8 +163,7 @@ def _cmd_dot(args):
         literals = list(program.evidence)
     roots = [lit.atom for lit in literals]
     gp = ground(program, roots, choices=args.task != "prob")
-    cp = compile_program(gp, task=args.task, kernel=args.kernel,
-                         node_cap=args.node_cap, roots=roots)
+    cp = compile_program(gp, task=args.task, node_cap=args.node_cap, roots=roots)
     ref = compile_query(cp, literals)
     text = cp.manager.to_dot(ref)
     if args.out:
@@ -199,7 +190,6 @@ def _cmd_bench(args):
                         task=task,
                         map_fraction=fraction,
                         timeout=args.timeout,
-                        kernel=args.kernel,
                         node_cap=args.node_cap,
                     )
                     rows.append(benchgen.run_bench(spec))
@@ -211,20 +201,36 @@ def _cmd_bench(args):
     return 0
 
 
-def _add_common(sub, query_flag=False):
+# the flags a subcommand registers only when it honours them
+_FLAGS = {
+    "--evidence": dict(action="append", metavar="LITERAL",
+                       help="extra evidence literal (repeatable)"),
+    "--query": dict(metavar="ATOM", help="query atom"),
+    "--node-cap": dict(type=int, default=None),
+    "--json": dict(action="store_true", help="emit JSON"),
+    "--stats": dict(action="store_true", help="print run statistics (text mode)"),
+    "--dump-ground": dict(action="store_true",
+                          help="print the ground program to stderr"),
+    "--timeout": dict(type=float, default=None, metavar="SECONDS"),
+}
+
+
+def _add_common(sub, *flags):
     sub.add_argument("program", help="program file")
-    sub.add_argument("--evidence", action="append", metavar="LITERAL",
-                     help="extra evidence literal (repeatable)")
-    sub.add_argument("--kernel", choices=available_kernels(), default=None)
-    sub.add_argument("--node-cap", type=int, default=None)
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-    sub.add_argument("--stats", action="store_true",
-                     help="print run statistics (text mode)")
-    sub.add_argument("--dump-ground", action="store_true",
-                     help="print the ground program to stderr")
-    sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    if query_flag:
-        sub.add_argument("--query", metavar="ATOM", help="query atom")
+    for flag in ("--timeout",) + flags:
+        sub.add_argument(flag, **_FLAGS[flag])
+
+
+def _check_limits(args):
+    """Reject a timeout or node cap that cannot be met or armed."""
+    timeout = args.timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError("--timeout must be a positive number of seconds, not %r"
+                         % timeout)
+    node_cap = getattr(args, "node_cap", None)
+    if node_cap is not None and node_cap < 1:
+        raise ValueError("--node-cap must be a positive number of nodes, not %d"
+                         % node_cap)
 
 
 def build_parser():
@@ -235,14 +241,15 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    solve = ("--evidence", "--node-cap", "--json", "--stats", "--dump-ground")
     p = subs.add_parser("prob", help="marginal or conditional probability")
-    _add_common(p, query_flag=True)
+    _add_common(p, "--query", *solve)
     p.add_argument("--dot", metavar="FILE", help="write the query BDD as DOT")
 
     for name, text in (("mpe", "most probable total explanation"),
                        ("map", "most probable query-clause selection")):
         p = subs.add_parser(name, help=text)
-        _add_common(p)
+        _add_common(p, *solve)
         p.add_argument("--normalize", action="store_true",
                        help="divide by the evidence probability")
         p.add_argument("--dot", metavar="FILE",
@@ -250,7 +257,7 @@ def build_parser():
 
     p = subs.add_parser("oracle", help="answer by world enumeration")
     p.add_argument("task", choices=("prob", "mpe", "map"))
-    _add_common(p, query_flag=True)
+    _add_common(p, "--query", "--evidence", "--json", "--dump-ground")
 
     p = subs.add_parser("ground", help="print the ground program of every "
                         "possible atom")
@@ -259,7 +266,7 @@ def build_parser():
     p = subs.add_parser("dot", help="write a compiled BDD as DOT")
     p.add_argument("--task", choices=("prob", "mpe", "map"), default="prob")
     p.add_argument("-o", "--out", metavar="FILE")
-    _add_common(p, query_flag=True)
+    _add_common(p, "--query", "--evidence", "--node-cap")
 
     p = subs.add_parser("bench", help="generate and time benchmark instances")
     p.add_argument("--family", choices=benchgen.BENCH_FAMILIES, required=True)
@@ -270,9 +277,8 @@ def build_parser():
                    required=True)
     p.add_argument("--fraction", type=float, action="append",
                    help="fraction of clauses marked query for map runs")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--kernel", choices=available_kernels(), default=None)
-    p.add_argument("--node-cap", type=int, default=None)
+    for flag in ("--timeout", "--node-cap"):
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--out", metavar="FILE", help="CSV output path")
     return parser
 
@@ -295,14 +301,15 @@ def _alarm(signum, frame):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command]
-    timeout = getattr(args, "timeout", None)
+    timeout = args.timeout
     old = None
-    if timeout and args.command != "bench":
-        old = signal.signal(signal.SIGALRM, _alarm)
-        # the alarm repeats until handled: Python drops an exception raised
-        # inside a finalizer such as BddRef.__del__, so one alarm can be lost
-        signal.setitimer(signal.ITIMER_REAL, timeout, _ALARM_REPEAT_S)
     try:
+        _check_limits(args)
+        if timeout is not None and args.command != "bench":
+            old = signal.signal(signal.SIGALRM, _alarm)
+            # the alarm repeats until handled: Python drops an exception raised
+            # inside a finalizer such as BddRef.__del__, so one alarm can be lost
+            signal.setitimer(signal.ITIMER_REAL, timeout, _ALARM_REPEAT_S)
         return handler(args)
     except (ParseError, GroundingError, StratificationError, CompileError,
             infer.InferError, oracle.OracleCapError, ValueError) as exc:

@@ -184,7 +184,6 @@ def compile_program(
     gp,
     task="prob",
     query_cvs=None,
-    kernel=None,
     node_cap=None,
     manager=None,
     creation_order=None,
@@ -219,7 +218,7 @@ def compile_program(
         kwargs = {}
         if node_cap is not None:
             kwargs["node_cap"] = node_cap
-        manager = BddManager(kernel=kernel, **kwargs)
+        manager = BddManager(**kwargs)
     if creation_order is None:
         creation_order = post_order(gp, roots)
     encoding = Encoding(manager, gp, query, creation_order)

@@ -59,7 +59,6 @@ class InferError(Exception):
 
 @dataclass
 class InferenceStats:
-    kernel: str = ""
     ground_atoms: int = 0
     ground_clauses: int = 0
     choice_vars: int = 0
@@ -71,7 +70,6 @@ class InferenceStats:
 
     def to_json_dict(self):
         return {
-            "kernel": self.kernel,
             "ground_atoms": self.ground_atoms,
             "ground_clauses": self.ground_clauses,
             "choice_vars": self.choice_vars,
@@ -86,7 +84,6 @@ class InferenceStats:
 def _stats(cp, nodes, start):
     gp = cp.gp
     return InferenceStats(
-        kernel=cp.manager.kernel_name,
         ground_atoms=len(gp.atoms),
         ground_clauses=len(gp.ground_clauses),
         choice_vars=len(gp.choice_vars),
@@ -156,20 +153,19 @@ def _ground(program, gp, demand, choices=False):
     return gp
 
 
-def cond_prob(program, query, evidence=None, kernel=None, node_cap=None):
+def cond_prob(program, query, evidence=None, node_cap=None):
     """P(query atom | conjunction of evidence literals)."""
-    return prob_result(program, query, evidence, kernel=kernel, node_cap=node_cap).value
+    return prob_result(program, query, evidence, node_cap=node_cap).value
 
 
-def prob_result(program, query, evidence=None, kernel=None, node_cap=None, gp=None):
+def prob_result(program, query, evidence=None, node_cap=None, gp=None):
     start = time.perf_counter()
     ev = _evidence_of(program, evidence)
     if query is None:
         raise InferError("the prob task needs a query atom")
     roots = [query] + [lit.atom for lit in ev]
     gp = _ground(program, gp, roots)
-    cp = compile_program(gp, task="prob", kernel=kernel, node_cap=node_cap,
-                         roots=roots)
+    cp = compile_program(gp, task="prob", node_cap=node_cap, roots=roots)
     qref = compile_query(cp, [Literal(query)])
     value = cp.manager.prob(qref)
     nodes = qref.node_count()
@@ -211,7 +207,7 @@ def _maximize(gp, task, ev, creation_order, **kwargs):
     return cp, eref, cp.manager.map_best(eref)
 
 
-def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap, gp,
+def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
                  creation_order=None):
     start = time.perf_counter()
     ev = _evidence_of(program, evidence)
@@ -222,7 +218,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
     if creation_order is not None:
         inside = set(cone)
         cone = [ci for ci in creation_order if ci in inside]
-    kwargs = dict(query_cvs=query_cvs, kernel=kernel, node_cap=node_cap)
+    kwargs = dict(query_cvs=query_cvs, node_cap=node_cap)
     cp, eref, (log_value, choices, unique) = _maximize(gp, task, ev, cone, **kwargs)
     query = sorted(cp.query_cvs)
     recompile = not unique and cp.encoding.order[:len(query)] != query
@@ -250,9 +246,9 @@ def _best_result(program, task, evidence, query_cvs, normalize, kernel, node_cap
     )
 
 
-def mpe(program, evidence=None, normalize=False, kernel=None, node_cap=None, gp=None):
+def mpe(program, evidence=None, normalize=False, node_cap=None, gp=None):
     """The most probable total head selection given the evidence."""
-    return _best_result(program, "mpe", evidence, None, normalize, kernel, node_cap, gp)
+    return _best_result(program, "mpe", evidence, None, normalize, node_cap, gp)
 
 
 def map_query(
@@ -260,7 +256,6 @@ def map_query(
     evidence=None,
     query_cvs=None,
     normalize=False,
-    kernel=None,
     node_cap=None,
     gp=None,
     creation_order=None,
@@ -268,6 +263,6 @@ def map_query(
     """The most probable selection of the query choice variables, summing out
     the rest.  query_cvs defaults to the map_query-flagged clauses' variables."""
     return _best_result(
-        program, "map", evidence, query_cvs, normalize, kernel, node_cap, gp,
+        program, "map", evidence, query_cvs, normalize, node_cap, gp,
         creation_order,
     )

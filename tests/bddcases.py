@@ -213,14 +213,13 @@ def query_values(groups):
     return itertools.product(*(range(len(p)) for p, _, q in groups if q))
 
 
-def random_case(seed, max_vars=12, manager_factory=None, order_weights=True):
+def random_case(seed, max_vars=12, order_weights=True):
     """One seeded case: a manager with nv vars, a formula, and its tree."""
     from lpadc.bdd import BddManager
 
     rng = random.Random(seed)
     nv = rng.randint(2, max_vars)
-    factory = manager_factory or BddManager
-    manager = factory()
+    manager = BddManager()
     for i in range(nv):
         w = rng.uniform(0.05, 0.95)
         if order_weights:

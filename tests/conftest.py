@@ -5,8 +5,6 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from lpadc.bdd import available_kernels
-
 EX1 = """\
 red(b1):0.6; green(b1):0.3; blue(b1):0.1 :- pick(b1).
 pick(b1):0.6; no_pick(b1):0.4.
@@ -34,8 +32,11 @@ map_query positive:0.0001 :- \\+(malfunction), \\+(disease).
 """
 
 
-@pytest.fixture(params=available_kernels())
+@pytest.fixture(params=["py"])
 def kernel(request):
+    """The name of the one BDD kernel.  The parameter only keeps the ids
+    recorded for the tests that take this fixture, such as
+    test_prob_matches_brute_force[py]."""
     return request.param
 
 

@@ -4,28 +4,18 @@ import random
 import pytest
 
 import bddcases
-from lpadc.bdd import (
-    BddError,
-    BddManager,
-    NodeLimitError,
-    available_kernels,
-    default_kernel,
-)
-
-
-def mk(kernel, **kw):
-    return BddManager(kernel=kernel, **kw)
+from lpadc.bdd import BddError, BddManager, NodeLimitError
 
 
 def test_terminal_constants(kernel):
-    m = mk(kernel)
+    m = BddManager()
     assert m.true.ref == 0
     assert m.false.ref == 1
     assert (~m.true).ref == 1
 
 
 def test_var_and_negation(kernel):
-    m = mk(kernel)
+    m = BddManager()
     v = m.new_var(0, 0, 0.6)
     x = m.var(v)
     assert m.eval(x, [True]) and not m.eval(x, [False])
@@ -34,7 +24,7 @@ def test_var_and_negation(kernel):
 
 
 def test_apply_basic_identities(kernel):
-    m = mk(kernel)
+    m = BddManager()
     m.new_var(0, 0, 0.5)
     m.new_var(1, 0, 0.5)
     x, y = m.var(0), m.var(1)
@@ -48,18 +38,14 @@ def test_apply_basic_identities(kernel):
 
 def test_formulas_match_reference_evaluator(kernel):
     for seed in range(60):
-        m, tree, nv, _ = bddcases.random_case(
-            seed, max_vars=8, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, _ = bddcases.random_case(seed, max_vars=8)
         ref = bddcases.build(m, tree)
         assert bddcases.exhaustive_equal(m, ref, tree, nv), "seed %d" % seed
 
 
 def test_canonicity_equivalent_builds_share_ref(kernel):
     for seed in range(60):
-        m, tree, nv, rng = bddcases.random_case(
-            seed, max_vars=8, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, rng = bddcases.random_case(seed, max_vars=8)
         a = bddcases.build(m, tree)
         b = bddcases.build(m, bddcases.restructure(tree, rng))
         assert a.ref == b.ref, "seed %d" % seed
@@ -67,9 +53,7 @@ def test_canonicity_equivalent_builds_share_ref(kernel):
 
 def test_canonicity_minterm_rebuild(kernel):
     for seed in range(25):
-        m, tree, nv, _ = bddcases.random_case(
-            seed, max_vars=6, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, _ = bddcases.random_case(seed, max_vars=6)
         a = bddcases.build(m, tree)
         b = m.false
         for vals in bddcases.assignments(nv):
@@ -83,18 +67,14 @@ def test_canonicity_minterm_rebuild(kernel):
 
 def test_structure_invariants(kernel):
     for seed in range(60):
-        m, tree, nv, _ = bddcases.random_case(
-            seed, max_vars=10, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, _ = bddcases.random_case(seed, max_vars=10)
         ref = bddcases.build(m, tree)
         assert bddcases.check_structure(m, ref) == [], "seed %d" % seed
 
 
 def test_prob_matches_brute_force(kernel):
     for seed in range(40):
-        m, tree, nv, _ = bddcases.random_case(
-            seed, max_vars=8, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, _ = bddcases.random_case(seed, max_vars=8)
         ref = bddcases.build(m, tree)
         want = bddcases.brute_wmc(m, ref, nv)
         assert math.isclose(m.prob(ref), want, rel_tol=1e-12, abs_tol=1e-300)
@@ -109,7 +89,7 @@ def test_wmc_counts_onehot_selections(kernel):
     for seed in range(40):
         rng = random.Random(seed)
         groups = [rng.randint(2, 3) for _ in range(rng.randint(1, 3))]
-        m = mk(kernel)
+        m = BddManager()
         by_group = []
         for g, size in enumerate(groups):
             ids = [m.new_var(g, j, rng.uniform(0.1, 0.9), zero_weight=1.0)
@@ -139,12 +119,12 @@ def test_wmc_counts_onehot_selections(kernel):
         )
 
 
-def _check_map_best(kernel, ties):
+def _check_map_best(ties):
     """Compare map_best with enumeration on 150 chain cases; returns how
     many it did not call unique."""
     tied = 0
     for seed in range(150):
-        m = mk(kernel)
+        m = BddManager()
         groups, tree, ref = bddcases.chain_case(seed, m, ties=ties)
         want, score = bddcases.brute_map(groups, tree)
         log_value, choices, unique = m.map_best(ref)
@@ -170,17 +150,17 @@ def _check_map_best(kernel, ties):
 def test_map_best_matches_brute_force(kernel):
     # formulas over order-encoded chains that depend only on the selected
     # values, with query and summed-out groups and complemented edges
-    assert _check_map_best(kernel, ties=False) == 0
+    assert _check_map_best(ties=False) == 0
 
 
 def test_map_best_reports_ties(kernel):
     # probabilities from a two-value set make tied maximisers common
-    assert _check_map_best(kernel, ties=True) > 20
+    assert _check_map_best(ties=True) > 20
 
 
 def test_map_best_flags_a_tie_between_groups(kernel):
     # each group's best value is unique, but two selections score 0.24
-    m = mk(kernel)
+    m = BddManager()
     a = m.var(m.new_var(0, 0, 0.6, is_query=True))
     b = m.var(m.new_var(1, 0, 0.4, is_query=True))
     both = (a & b) | (~a & ~b)
@@ -192,7 +172,7 @@ def test_map_best_flags_a_tie_between_groups(kernel):
 
 
 def test_map_best_rejects_query_vars_below_others(kernel):
-    m = mk(kernel)
+    m = BddManager()
     m.new_var(0, 0, 0.5)
     q = m.new_var(1, 0, 0.5, is_query=True)
     with pytest.raises(BddError):
@@ -201,9 +181,7 @@ def test_map_best_rejects_query_vars_below_others(kernel):
 
 def test_reorder_preserves_eval(kernel):
     for seed in range(40):
-        m, tree, nv, rng = bddcases.random_case(
-            seed, max_vars=8, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, rng = bddcases.random_case(seed, max_vars=8)
         ref = bddcases.build(m, tree)
         table = {vals: m.eval(ref, vals) for vals in bddcases.assignments(nv)}
         groups = list(range(nv))
@@ -216,9 +194,7 @@ def test_reorder_preserves_eval(kernel):
 
 def test_swap_levels_is_local_and_sound(kernel):
     for seed in range(40):
-        m, tree, nv, rng = bddcases.random_case(
-            seed, max_vars=6, manager_factory=lambda: mk(kernel)
-        )
+        m, tree, nv, rng = bddcases.random_case(seed, max_vars=6)
         ref = bddcases.build(m, tree)
         table = {vals: m.eval(ref, vals) for vals in bddcases.assignments(nv)}
         for _ in range(6):
@@ -229,7 +205,7 @@ def test_swap_levels_is_local_and_sound(kernel):
 
 
 def test_node_cap_raises(kernel):
-    m = mk(kernel, node_cap=4)
+    m = BddManager(node_cap=4)
     for i in range(8):
         m.new_var(i, 0, 0.5)
     with pytest.raises(NodeLimitError):
@@ -239,7 +215,7 @@ def test_node_cap_raises(kernel):
 
 
 def test_gc_reclaims_unpinned_nodes(kernel):
-    m = mk(kernel)
+    m = BddManager()
     for i in range(8):
         m.new_var(i, 0, 0.5)
     keep = m.var(0) & m.var(1)
@@ -256,21 +232,10 @@ def test_gc_reclaims_unpinned_nodes(kernel):
 
 
 def test_node_count_on_example_shapes(kernel):
-    m = mk(kernel)
+    m = BddManager()
     for i in range(3):
         m.new_var(i, 0, 0.5)
     x, y, z = m.var(0), m.var(1), m.var(2)
     assert (x & y & z).node_count() == 3
     assert m.true.node_count() == 0
 
-
-def test_default_kernel_env_override(monkeypatch):
-    monkeypatch.setenv("LPADC_KERNEL", "py")
-    assert default_kernel() == "py"
-    monkeypatch.setenv("LPADC_KERNEL", "nope")
-    with pytest.raises(Exception):
-        default_kernel()
-
-
-def test_kernels_available():
-    assert "py" in available_kernels()

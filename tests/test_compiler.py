@@ -39,7 +39,7 @@ def probs_of(gp, ci):
 
 
 def test_prob_task_uses_order_everywhere(kernel):
-    cp = compile_program(_gp(THREE), task="prob", kernel=kernel)
+    cp = compile_program(_gp(THREE), task="prob")
     assert cp.query_cvs == frozenset()
     m = cp.manager
     assert not any(m.var_info(v).is_query for v in m.level_order())
@@ -55,7 +55,7 @@ def test_max_tasks_put_query_groups_on_top(kernel):
         ("map", [0, 2], [2, 1, 0], [2, 0, 1]),
     ):
         cp = compile_program(gp, task=task, query_cvs=query_cvs,
-                             creation_order=creation_order, kernel=kernel)
+                             creation_order=creation_order)
         m = cp.manager
         levels = [m.var_info(v) for v in m.level_order()]
         assert [info.group for info in levels] == [
@@ -69,23 +69,23 @@ def test_max_tasks_put_query_groups_on_top(kernel):
 
 def test_map_defaults_to_flagged_clauses(kernel):
     gp = _gp("map_query a:0.2; b:0.3; c:0.5.\nd:0.4; e:0.1.\n")
-    cp = compile_program(gp, task="map", kernel=kernel)
+    cp = compile_program(gp, task="map")
     assert cp.query_cvs == frozenset({0})
 
 
 def test_map_without_query_clauses_rejected(kernel):
     with pytest.raises(CompileError):
-        compile_program(_gp(THREE), task="map", kernel=kernel)
+        compile_program(_gp(THREE), task="map")
 
 
 def test_query_cvs_out_of_range(kernel):
     with pytest.raises(CompileError):
-        compile_program(_gp(THREE), task="map", query_cvs=[5], kernel=kernel)
+        compile_program(_gp(THREE), task="map", query_cvs=[5])
 
 
 def test_unknown_task_rejected(kernel):
     with pytest.raises(CompileError):
-        compile_program(_gp(THREE), task="marginal", kernel=kernel)
+        compile_program(_gp(THREE), task="marginal")
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +96,14 @@ def test_block_sizes(kernel):
     gp = _gp(THREE)
     # THREE: cv0 has 3 values (no null), cv1 has 3 (null + 2 heads)
     for task in ("prob", "mpe"):
-        enc = compile_program(gp, task=task, kernel=kernel).encoding
+        enc = compile_program(gp, task=task).encoding
         assert [len(enc.group_vars(ci)) for ci in (0, 1)] == [2, 2]
 
 
 def test_order_value_probabilities(kernel):
     gp = _gp(THREE)
     for task in ("prob", "mpe"):
-        cp = compile_program(gp, task=task, kernel=kernel)
+        cp = compile_program(gp, task=task)
         for ci in (0, 1):
             got = [
                 cp.manager.prob(cp.encoding.value_bdd(ci, k))
@@ -114,7 +114,7 @@ def test_order_value_probabilities(kernel):
 
 
 def test_order_values_partition(kernel):
-    cp = compile_program(_gp(THREE), task="prob", kernel=kernel)
+    cp = compile_program(_gp(THREE), task="prob")
     m, enc = cp.manager, cp.encoding
     values = [enc.value_bdd(0, k) for k in range(3)]
     for i in range(3):
@@ -130,7 +130,7 @@ def test_order_chain_weights_have_unit_sum(kernel):
     # The order trick: per-variable weights sum to 1, so assignments that
     # differ only below the first true chain variable pool into the head
     # probability instead of double counting.
-    cp = compile_program(_gp(THREE), task="prob", kernel=kernel)
+    cp = compile_program(_gp(THREE), task="prob")
     m = cp.manager
     for ci in (0, 1):
         for v in cp.encoding.group_vars(ci):
@@ -144,7 +144,7 @@ def test_order_chain_weights_have_unit_sum(kernel):
 
 def test_deterministic_fact_compiles_to_true(kernel):
     gp = _gp("f.\na:0.5 :- f.\n")
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     f = next(a for a in gp.atoms if a.pred == "f")
     assert compile_atom(cp, f).is_true
 
@@ -153,13 +153,13 @@ def test_unknown_atom_compiles_to_false(kernel):
     from lpadc.model import Atom
 
     gp = _gp("a:0.5.\n")
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     assert compile_atom(cp, Atom("nope")).is_false
 
 
 def test_formulas_cached(kernel):
     gp = _gp(THREE)
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     a = gp.atoms[0]
     first = compile_atom(cp, a)
     strata_after = cp.stats.strata_processed
@@ -176,7 +176,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 """
     gp = _gp(text)
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     from lpadc.parser import parse_atom
 
     q = parse_atom("path(a, c)")
@@ -188,7 +188,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 
 def test_cyclic_component_iterates_to_fixpoint(kernel):
     gp = _gp("a:0.5.\nb:0.4.\np :- a.\np :- q.\nq :- p.\nq :- b.")
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     from lpadc.parser import parse_atom
 
     p = parse_atom("p")
@@ -202,14 +202,14 @@ def test_acyclic_atoms_take_one_pass_each(kernel):
     from lpadc.benchgen import gen_gh
     from lpadc.parser import parse_atom
 
-    cp = compile_program(ground(gen_gh(6, 0)), kernel=kernel)
+    cp = compile_program(ground(gen_gh(6, 0)))
     compile_atom(cp, parse_atom("a0"))
     assert cp.stats.fixpoint_iterations == cp.stats.strata_processed == 7
 
 
 def test_stratified_negation_compiles(kernel, ex4):
     gp = ground(parse_program(ex4))
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     from lpadc.parser import parse_atom
 
     q = parse_atom("positive")
@@ -220,7 +220,7 @@ def test_stratified_negation_compiles(kernel, ex4):
 
 def test_compile_query_conjoins_literals(kernel, ex1):
     gp = ground(parse_program(ex1))
-    cp = compile_program(gp, kernel=kernel)
+    cp = compile_program(gp)
     from lpadc.parser import parse_literal
 
     lits = [parse_literal("red(b1)"), parse_literal(r"\+blue(b1)")]
@@ -231,8 +231,8 @@ def test_compile_query_conjoins_literals(kernel, ex1):
 
 def test_creation_order_does_not_change_probabilities(kernel):
     gp = _gp(THREE)
-    base = compile_program(gp, kernel=kernel)
-    flipped = compile_program(gp, kernel=kernel, creation_order=[1, 0])
+    base = compile_program(gp)
+    flipped = compile_program(gp, creation_order=[1, 0])
     a = gp.atoms[0]
     assert flipped.manager.prob(compile_atom(flipped, a)) == pytest.approx(
         base.manager.prob(compile_atom(base, a)), abs=1e-12
@@ -244,7 +244,7 @@ def test_node_cap_threads_through(kernel):
 
     text = "\n".join("x%d:0.5.\ny%d :- x%d." % (i, i, i) for i in range(12))
     gp = _gp(text)
-    cp = compile_program(gp, kernel=kernel, node_cap=8)
+    cp = compile_program(gp, node_cap=8)
     with pytest.raises(NodeLimitError):
         for a in gp.atoms:
             compile_atom(cp, a)
@@ -261,11 +261,11 @@ def test_encodings_agree_on_random_programs(kernel):
         if not query_cvs:
             continue
         lits = [Literal(case.query)] + list(case.evidence)
-        default = compile_program(case.gp, task="prob", kernel=kernel)
+        default = compile_program(case.gp, task="prob")
         p_default = default.manager.prob(compile_query(default, lits))
         reverse = list(reversed(range(len(case.gp.choice_vars))))
         first = compile_program(case.gp, task="map", query_cvs=query_cvs,
-                                creation_order=reverse, kernel=kernel)
+                                creation_order=reverse)
         f = compile_query(first, lits)
         p_first = first.manager.prob(f)
         assert p_first == pytest.approx(p_default, abs=1e-9), case.src

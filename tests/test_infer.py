@@ -43,7 +43,7 @@ EV = [parse_literal("ev")]
 
 def test_color_marginal(kernel, ex1):
     program = parse_program(ex1)
-    res = prob_result(program, parse_atom("ev"), kernel=kernel)
+    res = prob_result(program, parse_atom("ev"))
     assert res.value == pytest.approx(0.94, abs=1e-12)
     assert res.task == "prob"
     assert res.assignment is None
@@ -51,7 +51,7 @@ def test_color_marginal(kernel, ex1):
 
 
 def test_color_mpe(kernel, ex2):
-    res = mpe(parse_program(ex2), evidence=EV, kernel=kernel)
+    res = mpe(parse_program(ex2), evidence=EV)
     assert res.value == pytest.approx(0.36, abs=1e-12)
     lines = res.assignment.to_rule_lines()
     assert lines == [
@@ -61,7 +61,7 @@ def test_color_mpe(kernel, ex2):
 
 
 def test_color_map(kernel, ex3):
-    res = map_query(parse_program(ex3), evidence=EV, kernel=kernel)
+    res = map_query(parse_program(ex3), evidence=EV)
     assert res.value == pytest.approx(0.54, abs=1e-12)
     lines = res.assignment.to_rule_lines()
     assert lines == ["rule(1, pick(b1), [pick(b1):0.6, no_pick(b1):0.4], true)"]
@@ -69,7 +69,7 @@ def test_color_map(kernel, ex3):
 
 def test_diagnosis_mpe(kernel, ex4):
     program = parse_program(ex4)
-    res = mpe(program, evidence=[parse_literal("positive")], kernel=kernel)
+    res = mpe(program, evidence=[parse_literal("positive")])
     assert res.value == pytest.approx(0.05 * 0.95 * 0.999 * 0.9999, abs=1e-12)
     picks = [(d["clause"], d["head"]) for d in res.assignment.to_rule_dicts()]
     assert picks == [
@@ -88,7 +88,7 @@ def test_diagnosis_mpe(kernel, ex4):
 def test_diagnosis_conditional(kernel, ex4):
     program = parse_program(ex4)
     got = cond_prob(
-        program, parse_atom("disease"), [parse_literal("positive")], kernel=kernel
+        program, parse_atom("disease"), [parse_literal("positive")]
     )
     want = exact_cond_prob(
         ground(program), [parse_literal("disease")], [parse_literal("positive")]
@@ -140,53 +140,52 @@ def test_max_tasks_take_a_ground_program_that_holds_every_choice(ex1):
 
 def test_prob_needs_query(kernel, ex1):
     with pytest.raises(InferError):
-        prob_result(parse_program(ex1), None, kernel=kernel)
+        prob_result(parse_program(ex1), None)
 
 
 def test_impossible_evidence_rejected(kernel, ex1):
     program = parse_program(ex1)
     bad = [parse_literal("ev"), parse_literal(r"\+ev")]
     with pytest.raises(InferError):
-        prob_result(program, parse_atom("ev"), bad, kernel=kernel)
+        prob_result(program, parse_atom("ev"), bad)
     with pytest.raises(InferError):
-        mpe(program, evidence=bad, kernel=kernel)
+        mpe(program, evidence=bad)
 
 
 def test_evidence_defaults_to_directives(kernel):
     text = "a:0.3.\nb:0.5 :- a.\nevidence(a).\n"
     program = parse_program(text)
-    res = prob_result(program, parse_atom("b"), kernel=kernel)
+    res = prob_result(program, parse_atom("b"))
     assert res.value == pytest.approx(0.5, abs=1e-12)
     # an explicit argument replaces the directives
-    res = prob_result(program, parse_atom("b"), [], kernel=kernel)
+    res = prob_result(program, parse_atom("b"), [])
     assert res.value == pytest.approx(0.15, abs=1e-12)
 
 
 def test_invalid_program_rejected(kernel):
     program = parse_program("p(X):0.5 :- q.\nq.\n")
     with pytest.raises(InferError):
-        prob_result(program, parse_atom("q"), kernel=kernel)
+        prob_result(program, parse_atom("q"))
 
 
 def test_nonstratified_program_rejected(kernel):
     program = parse_program("a :- \\+b.\nb :- \\+a.\nc:0.5.\n")
     with pytest.raises(Exception):
-        prob_result(program, parse_atom("c"), kernel=kernel)
+        prob_result(program, parse_atom("c"))
 
 
 def test_normalized_mpe(kernel, ex2):
     program = parse_program(ex2)
-    joint = mpe(program, evidence=EV, kernel=kernel)
-    norm = mpe(program, evidence=EV, normalize=True, kernel=kernel)
+    joint = mpe(program, evidence=EV)
+    norm = mpe(program, evidence=EV, normalize=True)
     p_ev = exact_prob(ground(program), EV)
     assert not joint.normalized and norm.normalized
     assert norm.value == pytest.approx(joint.value / p_ev, abs=1e-12)
 
 
 def test_stats_populated(kernel, ex1):
-    res = prob_result(parse_program(ex1), parse_atom("ev"), kernel=kernel)
+    res = prob_result(parse_program(ex1), parse_atom("ev"))
     s = res.stats
-    assert s.kernel == kernel
     # pick(b1), no_pick(b1), red(b1), green(b1), blue(b1) and ev
     assert (s.ground_atoms, s.ground_clauses, s.choice_vars) == (6, 3, 2)
     assert s.bool_vars == 3  # order encoding: 3 + 2 heads -> 2 + 1 chain vars
@@ -196,7 +195,7 @@ def test_stats_populated(kernel, ex1):
 
 
 def test_json_shape(kernel, ex2):
-    res = mpe(parse_program(ex2), evidence=EV, kernel=kernel)
+    res = mpe(parse_program(ex2), evidence=EV)
     d = res.to_json_dict()
     assert set(d) == {
         "task", "value", "log_value", "normalized", "assignment", "stats"
@@ -205,7 +204,6 @@ def test_json_shape(kernel, ex2):
     assert d["task"] == "mpe"
     assert [r["clause"] for r in d["assignment"]] == [0, 1]
     assert set(d["stats"]) == {
-        "kernel",
         "ground_atoms",
         "ground_clauses",
         "choice_vars",
@@ -222,7 +220,7 @@ def test_tie_outside_the_evidence_cone_needs_no_recompile(kernel):
     # y and z tie, but the evidence never reaches their clause, so the pick
     # does not depend on the layout and no chain is created for it
     program = parse_program("y:0.5; z:0.5.\nx:0.3; w:0.7.\nevidence(x).\n")
-    res = mpe(program, kernel=kernel)
+    res = mpe(program)
     assert not res.stats.tie_recompiled
     assert res.value == pytest.approx(0.15, abs=1e-12)
     assert [d["head"] for d in res.assignment.to_rule_dicts()] == ["y", "x"]
@@ -238,7 +236,7 @@ def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel)
         "g(X) :- f(X).\na:0.3; c:0.5.\nb :- a.\nevidence(b).\n"
     )
     full = ground(program)
-    res = mpe(program, kernel=kernel)
+    res = mpe(program)
     assert res.stats.bool_vars == 2  # a's chain only
     assert res.stats.ground_atoms == len(full.atoms) - 3  # no g(X)
     picks = {d["body"]: d["head"] for d in res.assignment.to_rule_dicts()}
@@ -248,7 +246,7 @@ def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel)
     assert res.assignment.as_dict() in argmax
     assert res.log_value == pytest.approx(math.log(0.4 ** 3 * 0.3), rel=1e-12)
     # MAP: the query choices lie outside the cone, a's is summed out
-    res = map_query(program, kernel=kernel)
+    res = map_query(program)
     want, argmax = exact_map(full, list(program.evidence), [0, 1, 2])
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.assignment.as_dict() in argmax
@@ -261,9 +259,9 @@ def test_negative_cycle_outside_the_evidence_cone_rejected(kernel):
         "a:0.3.\nb :- a.\nevidence(b).\n"
     )
     with pytest.raises(StratificationError):
-        mpe(program, kernel=kernel)
+        mpe(program)
     with pytest.raises(StratificationError):
-        map_query(program, query_cvs=[0], kernel=kernel)
+        map_query(program, query_cvs=[0])
 
 
 def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
@@ -280,9 +278,9 @@ def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
     gc.disable()
     try:
         for task in (mpe, map_query):
-            res = task(parse_program(ex2), evidence=EV, kernel=kernel)
+            res = task(parse_program(ex2), evidence=EV)
             del res
-        res = prob_result(parse_program(ex2), parse_atom("ev"), kernel=kernel)
+        res = prob_result(parse_program(ex2), parse_atom("ev"))
         del res
         assert len(managers) == 3
         assert [ref() for ref in managers] == [None] * 3
@@ -295,7 +293,7 @@ def test_mpe_log_value_survives_underflow(kernel):
     # underflows a float, its log does not
     facts = "".join("n(%d).\n" % i for i in range(1, 1101))
     program = parse_program("e(X):0.5 :- n(X).\n" + facts + "evidence(e(1)).\n")
-    res = mpe(program, kernel=kernel)
+    res = mpe(program)
     assert res.value == 0.0
     assert math.isclose(res.log_value, 1100 * math.log(0.5), rel_tol=1e-9)
     heads = {d["body"]: d["head"] for d in res.assignment.to_rule_dicts()}
@@ -309,7 +307,7 @@ def test_decode_defaults_to_most_probable_head(kernel):
     from lpadc.compiler import compile_program
 
     gp = ground(parse_program("a:0.2; b:0.7; c:0.1.\n"))
-    cp = compile_program(gp, task="mpe", kernel=kernel)
+    cp = compile_program(gp, task="mpe")
     assignment = decode({}, cp.encoding, cp.query_cvs)
     ((cv, k),) = assignment.entries
     assert str(cv.ground_heads[k]) == "b"
@@ -325,8 +323,7 @@ def test_post_order_keeps_marginal_diagrams_small(kernel, family, size, max_node
 
     program = generate(family, size, 0)
     # the cap makes a worse order fail in seconds instead of filling memory
-    res = prob_result(program, program.queries[0], evidence=[], kernel=kernel,
-                      node_cap=200_000)
+    res = prob_result(program, program.queries[0], evidence=[], node_cap=200_000)
     assert 0.0 < res.value <= 1.0
     assert res.stats.bdd_nodes <= max_nodes
 
@@ -342,7 +339,7 @@ def test_post_order_keeps_mpe_diagrams_small(kernel, family, size, max_nodes):
     # the generators' equal probabilities tie every maximiser, which the
     # index-order layout settles; redrawn ones leave the post-order alone
     program = untied(generate(family, size, 0))
-    res = mpe(program, kernel=kernel, node_cap=200_000)
+    res = mpe(program, node_cap=200_000)
     assert not res.stats.tie_recompiled
     assert res.stats.bdd_nodes <= max_nodes
 
@@ -375,13 +372,16 @@ def test_mpe_grounds_only_the_evidence_cone_and_every_choice():
 
 
 def test_tracer_patch_points_exist():
-    # perfbench/tracing.py wraps grounder.ground and GroundProgram.strata by
-    # name and reads the program the compiler used from its last ground call
+    # perfbench/tracing.py wraps grounder.ground, GroundProgram.strata and
+    # BddManager.reorder_groups_front by name and reads the program the
+    # compiler used from its last ground call; perfbench/worker.py reports
+    # bdd.default_kernel()
     code = (
         "import sys; sys.path.insert(0, 'perfbench')\n"
         "from tracing import Tracer\n"
         "tracer = Tracer(); tracer.install()\n"
-        "from lpadc import infer, parser\n"
+        "from lpadc import bdd, infer, parser\n"
+        "assert bdd.default_kernel() == 'py'\n"
         "with open('programs/diagnosis.lpad') as fh:\n"
         "    program = parser.parse_program(fh.read())\n"
         "query = parser.parse_atom('disease')\n"
@@ -404,14 +404,14 @@ def test_tracer_patch_points_exist():
 
 
 def test_map_assignment_covers_only_query_variables(kernel, ex3):
-    res = map_query(parse_program(ex3), evidence=EV, kernel=kernel)
+    res = map_query(parse_program(ex3), evidence=EV)
     assert [cv.clause_id for cv, _ in res.assignment.entries] == [1]
 
 
 def test_ties_resolve_deterministically(kernel):
     program = parse_program("a:0.5.\nb:0.5.\n")
-    first = mpe(program, kernel=kernel)
-    second = mpe(program, kernel=kernel)
+    first = mpe(program)
+    second = mpe(program)
     assert first.value == pytest.approx(0.25, abs=1e-12)
     assert first.assignment == second.assignment
 
@@ -423,7 +423,7 @@ def test_ties_resolve_deterministically(kernel):
 def test_random_marginals_match_oracle(kernel):
     for seed in range(120):
         case = random_case(seed)
-        got = cond_prob(case.program, case.query, list(case.evidence), kernel=kernel)
+        got = cond_prob(case.program, case.query, list(case.evidence))
         want = exact_cond_prob(case.gp, [Literal(case.query)], list(case.evidence))
         assert got == pytest.approx(want, abs=1e-9), case.src
 
@@ -464,7 +464,7 @@ def test_random_first_order_marginals_match_oracle_on_the_whole_program():
 def test_random_mpe_matches_oracle(kernel):
     for seed in range(80):
         case = random_case(seed)
-        res = mpe(case.program, evidence=list(case.evidence), kernel=kernel)
+        res = mpe(case.program, evidence=list(case.evidence))
         want, argmax = exact_mpe(case.gp, list(case.evidence))
         assert res.value == pytest.approx(want, abs=1e-9), case.src
         assert res.assignment.as_dict() in argmax, case.src
@@ -477,10 +477,7 @@ def test_random_map_matches_oracle(kernel):
         if not query_cvs:
             continue
         res = map_query(
-            case.program,
-            evidence=list(case.evidence),
-            query_cvs=query_cvs,
-            kernel=kernel,
+            case.program, evidence=list(case.evidence), query_cvs=query_cvs
         )
         want, argmax = exact_map(case.gp, list(case.evidence), query_cvs)
         assert res.value == pytest.approx(want, abs=1e-9), case.src
@@ -490,7 +487,7 @@ def test_random_map_matches_oracle(kernel):
 def test_random_mpe_bounded_by_evidence_probability(kernel):
     for seed in range(40):
         case = random_case(seed)
-        res = mpe(case.program, evidence=list(case.evidence), kernel=kernel)
+        res = mpe(case.program, evidence=list(case.evidence))
         p_ev = exact_prob(case.gp, list(case.evidence))
         assert res.value <= p_ev + 1e-12, case.src
 
@@ -514,12 +511,11 @@ def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
         shuffled = list(range(n))
         random.Random(seed).shuffle(shuffled)
         orders = (list(range(n)), list(reversed(range(n))), shuffled)
-        runs = [("mpe", mpe(case.program, ev, kernel=kernel, gp=case.gp),
+        runs = [("mpe", mpe(case.program, ev, gp=case.gp),
                  range(n), exact_mpe(case.gp, ev))]
         query_cvs = map_subset(case)
         if query_cvs:
-            runs.append(("map", map_query(case.program, ev, query_cvs,
-                                          kernel=kernel, gp=case.gp),
+            runs.append(("map", map_query(case.program, ev, query_cvs, gp=case.gp),
                          query_cvs, exact_map(case.gp, ev, query_cvs)))
         for task, res, query, (want, argmax) in runs:
             pick = res.assignment.as_dict()
@@ -529,8 +525,8 @@ def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
             recompiled += res.stats.tie_recompiled
             for order in orders if n else ():
                 # MPE is MAP over every choice variable
-                other = map_query(case.program, ev, list(query), kernel=kernel,
-                                  gp=case.gp, creation_order=order)
+                other = map_query(case.program, ev, list(query), gp=case.gp,
+                                  creation_order=order)
                 assert other.assignment.as_dict() == pick, (case.src, order)
                 assert math.isclose(other.log_value, res.log_value,
                                     rel_tol=1e-12), (case.src, order)
@@ -547,10 +543,9 @@ def test_tie_in_a_jumped_group_settled_in_index_order(kernel):
         "a:0.5.\nx:0.75.\ny:0.75.\ne :- a, x.\ne :- \\+a, y.\nevidence(e).\n"
     )
     want = {0: 1, 1: 1, 2: 1}
-    assert mpe(program, kernel=kernel).assignment.as_dict() == want
+    assert mpe(program).assignment.as_dict() == want
     for order in ([1, 2, 0], [2, 1, 0]):
-        res = map_query(program, query_cvs=[0, 1, 2], kernel=kernel,
-                        creation_order=order)
+        res = map_query(program, query_cvs=[0, 1, 2], creation_order=order)
         assert res.stats.tie_recompiled
         assert res.assignment.as_dict() == want
 
@@ -562,14 +557,11 @@ def test_map_creation_order_invariance(kernel):
         if not query_cvs:
             continue
         n = len(case.gp.choice_vars)
-        base = map_query(
-            case.program, list(case.evidence), query_cvs, kernel=kernel
-        )
+        base = map_query(case.program, list(case.evidence), query_cvs)
         flipped = map_query(
             case.program,
             list(case.evidence),
             query_cvs,
-            kernel=kernel,
             creation_order=list(reversed(range(n))),
         )
         assert flipped.value == pytest.approx(base.value, abs=1e-12), case.src
@@ -583,9 +575,7 @@ def test_map_assignment_score_matches_value(kernel):
         query_cvs = map_subset(case)
         if not query_cvs:
             continue
-        res = map_query(
-            case.program, list(case.evidence), query_cvs, kernel=kernel
-        )
+        res = map_query(case.program, list(case.evidence), query_cvs)
         score = score_assignment(
             case.gp, list(case.evidence), res.assignment.as_dict()
         )
