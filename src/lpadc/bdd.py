@@ -115,6 +115,8 @@ class BddRef:
 
 class BddManager:
     def __init__(self, node_cap=DEFAULT_NODE_CAP, gc_threshold=DEFAULT_GC_THRESHOLD):
+        if node_cap < 1:
+            raise ValueError("node_cap must be at least 1, not %r" % (node_cap,))
         self._k = _pybdd.Kernel(node_cap)
         self.gc_threshold = gc_threshold
         self._pins = {}
@@ -224,12 +226,13 @@ class BddManager:
         maximum, over values of the query groups, of the probability of
         those values times the probability of `a` given them; choices maps
         each query group the best path tests to the chain position of its
-        best value.  A group the best path never tests is not in choices:
-        every one of its values reaches the same remainder.  unique is False
-        when another selection may score as well, up to TIE_TOL: a node on
-        the best path scores both branches alike, or some query group's best
-        value is attained by more than one of its values.  Otherwise every
-        variable order reports the same maximiser.
+        best value, the first such position on a tie inside the group.  A
+        group the best path never tests is not in choices: every one of its
+        values reaches the same remainder.  unique is False when another
+        selection may score as well, up to TIE_TOL: a node on the best path
+        scores both branches alike, or two values of some query group have
+        probabilities within TIE_TOL.  Otherwise the maximiser is the only
+        one, whatever the variable order.
 
         The contract, which the compiler's encoding meets: every query
         variable sits above every other one, each query group's variables
@@ -243,8 +246,7 @@ class BddManager:
         V'(lo) is m_g[j+1] skip V(lo) when lo leaves g, and skip is the
         product of m_h[0] over the whole query groups h that the edge
         jumps.  The first non-query node below is a weighted-count
-        boundary.  Ties go to the 1-branch, so which of several maximisers
-        is reported depends on the order of the query groups.
+        boundary.
         """
         k = self._k
         order = k.level_order()
@@ -272,16 +274,16 @@ class BddManager:
             w1 = [_log(k.var_weight(v)) for v in ids]
             w0 = [_log(k.var_zero_weight(v)) for v in ids]
             m, arg = [0.0] * (len(ids) + 1), list(range(len(ids) + 1))
-            tied = False  # the best value from bit j on is attained twice
             for j in reversed(range(len(ids))):
                 where[ids[j]] = (gpos, j)
                 one, zero = w1[j], w0[j] + m[j + 1]
                 if one >= zero:
-                    m[j], tied = one, _near(one, zero)
+                    m[j] = one
                 else:
                     m[j], arg[j] = zero, arg[j + 1]
-                    tied = tied or _near(one, zero)
-            unique = unique and not tied
+            # the log probability of each value, in increasing order
+            lp = sorted(sum(w0[:j]) + w for j, w in enumerate(w1 + [0.0]))
+            unique = unique and not any(map(_near, lp, lp[1:]))
             lw1.append(w1)
             lw0.append(w0)
             lm.append(m)

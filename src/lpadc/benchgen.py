@@ -53,6 +53,17 @@ class BenchSpec:
             raise ValueError("size must be >= 1")
         if (self.map_fraction is not None) != (self.task == "map"):
             raise ValueError("map_fraction goes with the map task only")
+        check_limits(self.timeout, self.node_cap)
+
+
+def check_limits(timeout, node_cap, names=("timeout", "node_cap")):
+    """Reject a timeout or node cap that cannot be met or armed."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError("%s must be a positive number of seconds, not %r"
+                         % (names[0], timeout))
+    if node_cap is not None and node_cap < 1:
+        raise ValueError("%s must be a positive number of nodes, not %r"
+                         % (names[1], node_cap))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import signal
 import sys
 from dataclasses import replace
@@ -69,39 +68,37 @@ def _dump_ground(args, gp):
         print(format_ground(gp), file=sys.stderr)
 
 
-def _write_dot(args, cp, ref):
-    if getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(cp.manager.to_dot(ref))
-
-
-def _cmd_prob(args):
+def _diagram(args, task):
+    """The program, its ground program for the task, and the literals whose
+    conjunction the answer is read from: the query and the evidence for
+    prob, the evidence for mpe and map."""
     program = _read_program(args)
-    query = _query_atom(args, program)
-    roots = [query] + [lit.atom for lit in program.evidence]
-    gp = ground(program, roots)
-    _dump_ground(args, gp)
-    result = infer.prob_result(program, query, node_cap=args.node_cap, gp=gp)
-    if args.dot:
-        cp = compile_program(gp, task="prob", node_cap=args.node_cap, roots=roots)
-        _write_dot(args, cp, compile_query(cp, [Literal(query)]))
-    _emit(args, result)
-    return 0
+    literals = list(program.evidence)
+    if task == "prob":
+        literals.insert(0, Literal(_query_atom(args, program)))
+    gp = ground(program, [lit.atom for lit in literals], choices=task != "prob")
+    return program, gp, literals
 
 
-def _cmd_best(args, task):
-    program = _read_program(args)
-    roots = [lit.atom for lit in program.evidence]
-    gp = ground(program, roots, choices=True)
+def _dot_text(args, gp, task, literals):
+    roots = [lit.atom for lit in literals]
+    cp = compile_program(gp, task=task, node_cap=args.node_cap, roots=roots)
+    return cp.manager.to_dot(compile_query(cp, literals))
+
+
+def _cmd_solve(args, task):
+    program, gp, literals = _diagram(args, task)
     _dump_ground(args, gp)
-    kw = {"normalize": args.normalize, "node_cap": args.node_cap, "gp": gp}
-    if task == "mpe":
-        result = infer.mpe(program, **kw)
+    kw = {"node_cap": args.node_cap, "gp": gp}
+    if task == "prob":
+        result = infer.prob_result(program, literals[0].atom, **kw)
+    elif task == "mpe":
+        result = infer.mpe(program, normalize=args.normalize, **kw)
     else:
-        result = infer.map_query(program, **kw)
+        result = infer.map_query(program, normalize=args.normalize, **kw)
     if args.dot:
-        cp = compile_program(gp, task=task, node_cap=args.node_cap, roots=roots)
-        _write_dot(args, cp, compile_query(cp, list(program.evidence)))
+        with open(args.dot, "w", encoding="utf-8") as handle:
+            handle.write(_dot_text(args, gp, task, literals))
     _emit(args, result)
     return 0
 
@@ -125,8 +122,8 @@ def _oracle_result(args):
         if not query_cvs:
             raise CompileError("the map task needs map_query clauses")
         value, sels = oracle.exact_map(gp, evidence, query_cvs)
-    best = min(sorted(sel.items()) for sel in sels)
-    entries = tuple((gp.choice_vars[ci], k) for ci, k in best)
+    best = oracle.first_maximiser(gp, sels)
+    entries = tuple((gp.choice_vars[ci], k) for ci, k in sorted(best.items()))
     return value, Assignment(entries)
 
 
@@ -156,16 +153,8 @@ def _cmd_ground(args):
 
 
 def _cmd_dot(args):
-    program = _read_program(args)
-    if args.task == "prob":
-        literals = [Literal(_query_atom(args, program))]
-    else:
-        literals = list(program.evidence)
-    roots = [lit.atom for lit in literals]
-    gp = ground(program, roots, choices=args.task != "prob")
-    cp = compile_program(gp, task=args.task, node_cap=args.node_cap, roots=roots)
-    ref = compile_query(cp, literals)
-    text = cp.manager.to_dot(ref)
+    _, gp, literals = _diagram(args, args.task)
+    text = _dot_text(args, gp, args.task, literals)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -223,14 +212,8 @@ def _add_common(sub, *flags):
 
 def _check_limits(args):
     """Reject a timeout or node cap that cannot be met or armed."""
-    timeout = args.timeout
-    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        raise ValueError("--timeout must be a positive number of seconds, not %r"
-                         % timeout)
-    node_cap = getattr(args, "node_cap", None)
-    if node_cap is not None and node_cap < 1:
-        raise ValueError("--node-cap must be a positive number of nodes, not %d"
-                         % node_cap)
+    benchgen.check_limits(args.timeout, getattr(args, "node_cap", None),
+                          ("--timeout", "--node-cap"))
 
 
 def build_parser():
@@ -244,7 +227,8 @@ def build_parser():
     solve = ("--evidence", "--node-cap", "--json", "--stats", "--dump-ground")
     p = subs.add_parser("prob", help="marginal or conditional probability")
     _add_common(p, "--query", *solve)
-    p.add_argument("--dot", metavar="FILE", help="write the query BDD as DOT")
+    p.add_argument("--dot", metavar="FILE",
+                   help="write the query and evidence BDD as DOT")
 
     for name, text in (("mpe", "most probable total explanation"),
                        ("map", "most probable query-clause selection")):
@@ -284,9 +268,9 @@ def build_parser():
 
 
 _COMMANDS = {
-    "prob": _cmd_prob,
-    "mpe": lambda args: _cmd_best(args, "mpe"),
-    "map": lambda args: _cmd_best(args, "map"),
+    "prob": lambda args: _cmd_solve(args, "prob"),
+    "mpe": lambda args: _cmd_solve(args, "mpe"),
+    "map": lambda args: _cmd_solve(args, "map"),
     "oracle": _cmd_oracle,
     "ground": _cmd_ground,
     "dot": _cmd_dot,

@@ -23,9 +23,8 @@ created first, in the relative order of the same post-order (or of the
 caller's creation_order), so they sit on the top levels of the diagram,
 which is the layout the max-product pass in BddManager.map_best needs.
 lpadc.infer passes the evidence's cone_order as the creation order, so only
-the variables the evidence depends on get chains.  Which of several equal
-maximisers the pass reports depends on the order of the query chains;
-lpadc.infer settles ties in index order.
+the variables the evidence depends on get chains, and settles a tie on the
+same diagram, so the reported maximiser does not depend on the order.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to
@@ -51,24 +50,20 @@ class CompileError(Exception):
 class Encoding:
     """Boolean variable chains for the choice variables of a ground program.
 
-    Chains are created for the variables creation_order lists (default:
-    every one, in index order), the query choice variables' first and then
-    the rest, each part in the relative order of creation_order;
-    compile_program passes the post-order of its root atoms.  self.order is
-    the choice variables in the order their chains were created.
+    Chains are created for the variables creation_order lists, the query
+    choice variables' first and then the rest, each part in the relative
+    order of creation_order; compile_program passes the post-order of its
+    root atoms.
     """
 
-    def __init__(self, manager, gp, query_cvs, creation_order=None):
+    def __init__(self, manager, gp, query_cvs, creation_order):
         self.manager = manager
         self.gp = gp
         self.query_cvs = frozenset(query_cvs)
         self.var_ids = [None] * len(gp.choice_vars)
         self._value_cache = {}
-        order = range(len(gp.choice_vars)) if creation_order is None else creation_order
-        self.order = [ci for ci in order if ci in self.query_cvs] + [
-            ci for ci in order if ci not in self.query_cvs
-        ]
-        for ci in self.order:
+        # a stable sort puts the query chains first
+        for ci in sorted(creation_order, key=lambda ci: ci not in self.query_cvs):
             self.var_ids[ci] = self._create_chain(ci)
 
     def _create_chain(self, ci):

@@ -11,12 +11,13 @@ switches to the weighted count of the rest.  The pass is sound because a
 compiled formula depends on a chain only through the value it selects, so a
 path enters a chain at its first bit and leaves it after a 1-branch.
 
-The pass also says whether its maximiser is unique.  When it may not be, the
-reported one depends on the order of the query chains, so the program is
-compiled once more with every query chain, in index order (the other chains
-keep their order), and the answer comes from that diagram.  Value, log_value
-and selection therefore do not depend on the variable order;
-stats.tie_recompiled records the second compile.
+Of several equal maximisers the first is reported: compare the choice
+variables in index order and each one's values in chain order (the explicit
+heads as written, the null head last).  The pass says whether its maximiser
+is unique; when it may not be, _settle fixes the query groups one at a time
+on the same diagram, by conjunction with each value in turn, and
+stats.tie_groups counts the groups it fixed.  Value, log_value and selection
+therefore do not depend on the variable order.
 
 Maximization reports the joint probability P(x, e) by default; pass
 normalize=True for P(x | e).  The pass runs in log space and the result
@@ -34,21 +35,21 @@ assignments cover every query choice variable; the choice variables keep
 the whole program's numbering.  They create chains only for the evidence's
 cone (compiler.cone_order): the diagram tests no other variable, so every
 other query variable takes its most probable head and adds its log
-probability to log_value, a summed-out one adds nothing, and a tie among
-them recompiles nothing.  Every entry point validates the program, also when
-the caller passes a ground program of its own; one grounded for a demand is
-accepted only when it covers the task's: its demand holds the query and
-evidence atoms, and for MPE and MAP it was grounded with choices.
+probability to log_value, and a summed-out one adds nothing.  Every entry
+point validates the program, also when the caller passes a ground program
+of its own; one grounded for a demand is accepted only when it covers the
+task's: its demand holds the query and evidence atoms, and for MPE and MAP
+it was grounded with choices.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import grounder
-from .bdd import _log
+from .bdd import _log, _near
 from .compiler import compile_program, compile_query, cone_order
 from .model import Assignment, Literal, validate
 
@@ -65,20 +66,11 @@ class InferenceStats:
     bool_vars: int = 0
     bdd_nodes: int = 0
     fixpoint_iterations: int = 0
-    tie_recompiled: bool = False  # MPE/MAP: a tie needed the index-order layout
+    tie_groups: int = 0  # MPE/MAP: query groups a tie fixed by conditioning
     wall_time_s: float = 0.0
 
     def to_json_dict(self):
-        return {
-            "ground_atoms": self.ground_atoms,
-            "ground_clauses": self.ground_clauses,
-            "choice_vars": self.choice_vars,
-            "bool_vars": self.bool_vars,
-            "bdd_nodes": self.bdd_nodes,
-            "fixpoint_iterations": self.fixpoint_iterations,
-            "tie_recompiled": self.tie_recompiled,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _stats(cp, nodes, start):
@@ -196,15 +188,21 @@ def decode(choices, encoding, query_cvs):
     return Assignment(tuple(entries))
 
 
-def _maximize(gp, task, ev, creation_order, **kwargs):
-    """Compile the evidence for a max task and run the max-product pass."""
-    cp = compile_program(gp, task=task, creation_order=creation_order, **kwargs)
-    eref = compile_query(cp, list(ev))
-    if eref.is_false:
-        # every variable weight is positive, so an unsatisfiable BDD is the
-        # only way the evidence can have probability zero
-        raise InferError("evidence has probability zero")
-    return cp, eref, cp.manager.map_best(eref)
+def _settle(cp, eref, log_value):
+    """The first of several maximisers: fix the query groups that have a
+    chain one at a time, in index order, each to its first chain position
+    that still reaches log_value.  Returns {choice variable: position}."""
+    enc = cp.encoding
+    fixed, choices = eref, {}
+    for ci in sorted(cp.query_cvs):
+        if enc.group_vars(ci) is None:
+            continue
+        for pos in range(cp.gp.choice_vars[ci].n_values):
+            f = fixed & enc.value_bdd(ci, enc.value_at(ci, pos))
+            if _near(cp.manager.map_best(f)[0], log_value):
+                break
+        fixed, choices[ci] = f, pos
+    return choices
 
 
 def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
@@ -218,17 +216,16 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
     if creation_order is not None:
         inside = set(cone)
         cone = [ci for ci in creation_order if ci in inside]
-    kwargs = dict(query_cvs=query_cvs, node_cap=node_cap)
-    cp, eref, (log_value, choices, unique) = _maximize(gp, task, ev, cone, **kwargs)
-    query = sorted(cp.query_cvs)
-    recompile = not unique and cp.encoding.order[:len(query)] != query
-    if recompile:
-        # settle the tie as index order does, the same answer for every
-        # layout; the query chains outside the cone add no node, but they keep
-        # the pass's log sums, and so the tie-breaking, the whole program's
-        order = query + [ci for ci in cp.encoding.order if ci not in cp.query_cvs]
-        del cp, eref  # free the first diagram before building the second
-        cp, eref, (log_value, choices, _) = _maximize(gp, task, ev, order, **kwargs)
+    cp = compile_program(gp, task=task, query_cvs=query_cvs, node_cap=node_cap,
+                         creation_order=cone)
+    eref = compile_query(cp, list(ev))
+    if eref.is_false:
+        # every variable weight is positive, so an unsatisfiable BDD is the
+        # only way the evidence can have probability zero
+        raise InferError("evidence has probability zero")
+    log_value, choices, unique = cp.manager.map_best(eref)
+    if not unique:
+        choices = _settle(cp, eref, log_value)
     assignment = decode(choices, cp.encoding, cp.query_cvs)
     # a query variable outside the cone takes its most probable head whatever
     # the rest selects; a summed-out one contributes its total mass, 1
@@ -240,7 +237,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
             raise InferError("evidence probability underflows to zero")
         log_value -= math.log(p_ev)
     stats = _stats(cp, eref.node_count(), start)
-    stats.tie_recompiled = recompile
+    stats.tie_groups = 0 if unique else len(choices)
     return InferenceResult(
         task, math.exp(log_value), log_value, normalize, assignment, stats
     )

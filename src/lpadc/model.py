@@ -199,12 +199,11 @@ class ChoiceVariable:
         return tuple(zip(self.ground_heads, self.probs))
 
     def max_prob_value(self):
-        """Selection index of the most probable head (ties: lowest index)."""
-        best = 0
-        for k in range(1, len(self.probs)):
-            if self.probs[k] > self.probs[best]:
-                best = k
-        return best
+        """Selection index of the most probable head, of equal ones the first
+        in chain order: the explicit heads as written, the null head last."""
+        n = len(self.probs)
+        chain = range(1, n + 1) if self.has_null else range(n)
+        return max((k % n for k in chain), key=self.probs.__getitem__)
 
 
 @dataclass(frozen=True)

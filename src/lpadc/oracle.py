@@ -143,6 +143,17 @@ def exact_mpe(gp, evidence_literals, cap=ORACLE_WORLD_CAP, rel_tol=1e-9):
     )
 
 
+def first_maximiser(gp, argmax):
+    """The maximiser to report among ties: compare the choice variables in
+    index order and each one's values in chain order, the explicit heads as
+    written and the null head (selection 0) last."""
+    def chain_positions(sel):
+        cvs = gp.choice_vars
+        return [(k - 1) % cvs[ci].n_values if cvs[ci].has_null else k
+                for ci, k in sorted(sel.items())]
+    return min(argmax, key=chain_positions)
+
+
 def score_assignment(gp, evidence_literals, partial, cap=ORACLE_WORLD_CAP):
     """Sum of world probabilities consistent with a partial selection (a dict
     of cv index -> value) that also entail the evidence."""

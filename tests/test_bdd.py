@@ -171,6 +171,18 @@ def test_map_best_flags_a_tie_between_groups(kernel):
     assert m.map_best((a & b) | (~a & ~b & c))[2]
 
 
+def test_map_best_flags_a_tie_among_a_groups_remaining_values(kernel):
+    # one group with values 0.5, 0.25 and 0.25; ruling out the first leaves
+    # two equal maximisers, the first of which is chain position 1
+    m = BddManager()
+    x0 = m.var(m.new_var(0, 0, 0.5, is_query=True))
+    m.new_var(0, 1, 0.5, is_query=True)
+    log_value, choices, unique = m.map_best(~x0)
+    assert math.isclose(log_value, math.log(0.25), rel_tol=1e-12)
+    assert choices == {0: 1}
+    assert not unique
+
+
 def test_map_best_rejects_query_vars_below_others(kernel):
     m = BddManager()
     m.new_var(0, 0, 0.5)
@@ -212,6 +224,17 @@ def test_node_cap_raises(kernel):
         f = m.true
         for i in range(8):
             f = f & (m.var(i) | m.var((i + 1) % 8))
+
+
+def test_node_cap_below_one_rejected(kernel):
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            BddManager(node_cap=cap)
+    from lpadc.infer import prob_result
+    from lpadc.parser import parse_atom, parse_program
+
+    with pytest.raises(ValueError):
+        prob_result(parse_program("a:0.5.\n"), parse_atom("a"), node_cap=-5)
 
 
 def test_gc_reclaims_unpinned_nodes(kernel):

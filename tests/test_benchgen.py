@@ -204,6 +204,21 @@ def test_run_bench_reports_errors():
     assert row.value is None
 
 
+def test_bench_spec_rejects_unusable_limits():
+    for limits in (dict(timeout=-1), dict(timeout=0), dict(timeout=math.inf),
+                   dict(timeout=math.nan), dict(node_cap=0), dict(node_cap=-5)):
+        with pytest.raises(ValueError):
+            BenchSpec("gh", 2, 0, "prob", **limits)
+
+
+def test_run_bench_tied_blood_mpe_fits_the_cap():
+    # benchgen's blood heads tie on every MPE; the tie is settled on the
+    # post-ordered diagram of 61 nodes
+    row = run_bench(BenchSpec("blood", 3, 0, "mpe", node_cap=200_000))
+    assert row.status == "ok"
+    assert row.value > 0.0
+
+
 def test_run_bench_memcap():
     # graph 20 fits in 16 nodes under the post-order; graph 40 does not
     row = run_bench(BenchSpec("graph", 40, 0, "prob", node_cap=16))

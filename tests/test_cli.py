@@ -113,13 +113,14 @@ def test_stats_flag(capsys):
 
 
 def test_stats_report_the_tie_recompile(capsys):
-    # the diagnosis MPE has two maximisers, settled by an index-order compile
+    # the diagnosis MPE has two maximisers; the tie is settled by fixing its
+    # four query groups on the one diagram
     code, out, _ = run(capsys, "mpe", DIAGNOSIS, "--stats")
     assert code == 0
-    assert "stat tie_recompiled: True" in out
+    assert "stat tie_groups: 4" in out
     code, out, _ = run(capsys, "mpe", COLORS_MPE, "--json")
     assert code == 0
-    assert json.loads(out)["stats"]["tie_recompiled"] is False
+    assert json.loads(out)["stats"]["tie_groups"] == 0
 
 
 def test_dump_ground_goes_to_stderr(capsys):
@@ -193,6 +194,16 @@ def test_oracle_map_agrees(capsys):
     assert brute.splitlines()[1:] == engine.splitlines()[1:]
 
 
+def test_oracle_reports_the_engines_pick_among_ties(capsys):
+    # the diagnosis MPE has two maximisers; both report disease
+    _, engine, _ = run(capsys, "mpe", DIAGNOSIS)
+    code, brute, _ = run(capsys, "oracle", "mpe", DIAGNOSIS)
+    assert code == 0
+    assert first_value(brute) == pytest.approx(first_value(engine), abs=1e-12)
+    assert brute.splitlines()[1:] == engine.splitlines()[1:]
+    assert "rule(0, disease," in brute
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "mpe", COLORS_MPE, "--json")
     assert code == 0
@@ -232,6 +243,25 @@ def test_prob_dot_side_output(capsys, tmp_path):
     code, _, _ = run(capsys, "prob", COLORS, "--dot", str(target))
     assert code == 0
     assert target.read_text().startswith("digraph")
+
+
+def test_prob_dot_draws_the_query_and_evidence_diagram(capsys, tmp_path):
+    # dot --task prob and prob --dot draw the diagram whose size bdd_nodes
+    # reports: the query's without evidence, the query and evidence's with it
+    query = ("--query", "pick(b1)")
+    texts = {}
+    for evidence in ((), ("--evidence", "blue(b1)")):
+        drawn, side = tmp_path / "drawn.dot", tmp_path / "side.dot"
+        code, _, _ = run(capsys, "dot", COLORS, *query, *evidence, "-o", str(drawn))
+        assert code == 0
+        code, out, _ = run(capsys, "prob", COLORS, *query, *evidence,
+                           "--dot", str(side), "--stats")
+        assert code == 0
+        assert drawn.read_text() == side.read_text()
+        texts[evidence] = drawn.read_text()
+        nodes = int(out.split("stat bdd_nodes: ")[1].split()[0])
+        assert texts[evidence].count("[label=\"x") == nodes
+    assert texts[()] != texts[("--evidence", "blue(b1)")]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_choice_variable_null_and_max():
     assert cv2.max_prob_value() == 1
 
 
+def test_max_prob_value_breaks_ties_in_chain_order():
+    # the explicit heads as written, the null head last
+    assert _cv([0.5, 0.5], [NULL, Atom("a")]).max_prob_value() == 1
+    assert _cv([0.25, 0.25, 0.5], [NULL, Atom("a"), Atom("b")]).max_prob_value() == 2
+    assert _cv([0.4, 0.2, 0.4], [NULL, Atom("a"), Atom("b")]).max_prob_value() == 2
+    assert _cv([0.5, 0.5], [Atom("a"), Atom("b")]).max_prob_value() == 0
+
+
 def test_assignment_renders_null_last():
     cv = _cv([0.95, 0.05], [NULL, Atom("malfunction")], clause_id=1)
     line = Assignment(((cv, 0),)).to_rule_lines()[0]
