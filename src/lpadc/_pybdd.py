@@ -8,8 +8,11 @@ moves to the incoming reference.
 
 Every variable carries two weights: a factor applied on the 1-branch and one
 on the 0-branch during weighted counting; the order encoding uses
-(pi, 1 - pi).  Variables also carry a group id (the owning choice variable),
-an index inside the group and a query flag.  The max-product pass for MPE
+(pi, 1 - pi).  The count memoizes per node the pair (count of f, count of
+not f), each summed from the children's pairs, so it holds for any weights
+and a complemented edge reads the other half instead of subtracting.
+Variables also carry a group id (the owning choice variable), an index
+inside the group and a query flag.  The max-product pass for MPE
 and MAP is not part of the kernel: BddManager.map_best runs it over the
 kernel's nodes and prob.
 """
@@ -185,46 +188,26 @@ class Kernel:
     # ---- weighted counting ----
 
     def prob(self, ref):
-        p = self._prob_node(ref >> 1)
-        return 1.0 - p if ref & 1 else p
+        return self._pair(ref >> 1)[ref & 1]
 
-    def _prob_node(self, n):
+    def _pair(self, n):
+        """(count of the node's function, count of its complement).  Both
+        are sums of products of branch weights, so no complement is ever
+        taken by subtraction and neither loses digits near 1."""
         if n == 0:
-            return 1.0
+            return (1.0, 0.0)
         hit = self._prob_memo.get(n)
         if hit is not None:
             return hit
         lo = self._lo[n]
-        p1 = self._prob_node(self._hi[n] >> 1)
-        p0 = self._prob_node(lo >> 1)
+        h1, h0 = self._pair(self._hi[n] >> 1)
+        l1, l0 = self._pair(lo >> 1)
         if lo & 1:
-            p0 = 1.0 - p0
+            l1, l0 = l0, l1
         v = self._var[n]
-        res = p1 * self._w1[v] + p0 * self._w0[v]
+        w1, w0 = self._w1[v], self._w0[v]
+        res = (w1 * h1 + w0 * l1, w1 * h0 + w0 * l0)
         self._prob_memo[n] = res
-        return res
-
-    def wmc(self, ref):
-        """General weighted count: sum over satisfying assignments of the
-        product of branch weights.  Unlike prob() this stays correct when a
-        variable's weights do not sum to 1, at the price of a (node,
-        complement) memo key."""
-        return self._wmc(ref, 0, {})
-
-    def _wmc(self, ref, comp, memo):
-        comp ^= ref & 1
-        n = ref >> 1
-        if n == 0:
-            return 0.0 if comp else 1.0
-        key = (n, comp)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        p1 = self._wmc(self._hi[n], comp, memo)
-        p0 = self._wmc(self._lo[n], comp, memo)
-        v = self._var[n]
-        res = p1 * self._w1[v] + p0 * self._w0[v]
-        memo[key] = res
         return res
 
     # ---- reordering ----

@@ -210,14 +210,16 @@ class BddManager:
         return self._k.eval(a.ref, values)
 
     def prob(self, a):
-        """Probability of the encoded formula, assuming every variable's two
-        weights sum to 1 (the order encoding guarantees this)."""
+        """Weighted count of the encoded formula: the sum over satisfying
+        assignments of the product of branch weights.  It holds for any
+        weights, and it is the probability when every variable's two
+        weights sum to 1 (the order encoding guarantees this).  The count
+        never subtracts, so a value near 0 keeps its digits even under a
+        complemented root."""
         return self._k.prob(a.ref)
 
-    def wmc(self, a):
-        """Weighted count valid for any weights, also when a variable's two
-        weights do not sum to 1."""
-        return self._k.wmc(a.ref)
+    # the same count under its general name
+    wmc = prob
 
     def map_best(self, a):
         """Max-product pass over the query chains, in log space.
@@ -301,10 +303,7 @@ class BddManager:
             n = ref >> 1
             if n in nodes:
                 return nodes[n][0], val[n][comp]
-            if n == 0:
-                return end, -math.inf if comp else 0.0
-            p = k.prob(n << 1)
-            return end, _log(1.0 - p if comp else p)
+            return end, _log(k.prob((n << 1) | comp))
 
         # deepest first, so children are scored before their parents
         for n in sorted(nodes, key=nodes.get, reverse=True):

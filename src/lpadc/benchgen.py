@@ -53,6 +53,9 @@ class BenchSpec:
             raise ValueError("size must be >= 1")
         if (self.map_fraction is not None) != (self.task == "map"):
             raise ValueError("map_fraction goes with the map task only")
+        if self.map_fraction is not None and not 0.0 < self.map_fraction <= 1.0:
+            raise ValueError("map_fraction must be in (0, 1], not %r"
+                             % (self.map_fraction,))
         check_limits(self.timeout, self.node_cap)
 
 
@@ -225,18 +228,21 @@ def generate(family, size, seed):
 
 
 def _run_task(spec):
-    """Generate, ground, and solve one instance; returns (value, status)."""
+    """Generate and solve one instance as the API does; returns the value.
+    A MAP run queries a seeded random ceil(fraction * n) of the n choice
+    variables."""
     program = generate(spec.family, spec.size, spec.seed)
-    query = program.queries[0]
-    gp = ground(program, [query] if spec.task == "prob" else None)
-    kw = {"node_cap": spec.node_cap, "gp": gp}
+    kw = {"node_cap": spec.node_cap}
     if spec.task == "prob":
-        result = prob_result(program, query, evidence=[], **kw)
+        result = prob_result(program, program.queries[0], evidence=[], **kw)
     elif spec.task == "mpe":
         result = mpe(program, **kw)
     else:
-        n_query = max(1, math.ceil(spec.map_fraction * len(gp.choice_vars)))
-        result = map_query(program, query_cvs=list(range(n_query)), **kw)
+        # ground as map_query does, which numbers every choice variable
+        gp = ground(program, [lit.atom for lit in program.evidence], choices=True)
+        n = len(gp.choice_vars)
+        query_cvs = Random(spec.seed).sample(range(n), math.ceil(spec.map_fraction * n))
+        result = map_query(program, query_cvs=query_cvs, gp=gp, **kw)
     return result.value
 
 

@@ -164,24 +164,25 @@ def _cmd_dot(args):
 
 
 def _cmd_bench(args):
-    rows = []
-    for size in args.size:
-        for seed in range(args.seeds):
-            for task in args.task:
-                if task == "map" and not args.fraction:
-                    raise ValueError("map runs need at least one --fraction")
-                fractions = args.fraction if task == "map" else [None]
-                for fraction in fractions:
-                    spec = benchgen.BenchSpec(
-                        family=args.family,
-                        size=size,
-                        seed=seed,
-                        task=task,
-                        map_fraction=fraction,
-                        timeout=args.timeout,
-                        node_cap=args.node_cap,
-                    )
-                    rows.append(benchgen.run_bench(spec))
+    if "map" in args.task and not args.fraction:
+        raise ValueError("map runs need at least one --fraction")
+    # every spec is checked before the first run
+    specs = [
+        benchgen.BenchSpec(
+            family=args.family,
+            size=size,
+            seed=seed,
+            task=task,
+            map_fraction=fraction,
+            timeout=args.timeout,
+            node_cap=args.node_cap,
+        )
+        for size in args.size
+        for seed in range(args.seeds)
+        for task in args.task
+        for fraction in (args.fraction if task == "map" else [None])
+    ]
+    rows = [benchgen.run_bench(spec) for spec in specs]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             benchgen.write_rows(rows, handle)
@@ -260,7 +261,7 @@ def build_parser():
     p.add_argument("--task", choices=benchgen.BENCH_TASKS, action="append",
                    required=True)
     p.add_argument("--fraction", type=float, action="append",
-                   help="fraction of clauses marked query for map runs")
+                   help="fraction of choice variables queried in map runs, in (0, 1]")
     for flag in ("--timeout", "--node-cap"):
         p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--out", metavar="FILE", help="CSV output path")

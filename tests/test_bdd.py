@@ -119,6 +119,32 @@ def test_wmc_counts_onehot_selections(kernel):
         )
 
 
+def _big_or(m, n):
+    """x1 | ... | xn over n fresh variables of weight 0.5."""
+    big = m.false
+    for i in range(n):
+        big = big | m.var(m.new_var(i + 1, 0, 0.5))
+    return big
+
+
+def test_prob_of_a_complement_near_zero_keeps_its_digits(kernel):
+    # P(~big) = 2^-60 sits below the rounding of 1 - P(big)
+    m = BddManager()
+    big = _big_or(m, 60)
+    assert math.isclose(m.prob(~big), 2.0 ** -60, rel_tol=1e-12)
+    assert m.prob(big) + m.prob(~big) == 1.0
+    assert m.wmc(~big) == m.prob(~big)
+
+
+def test_map_best_boundary_keeps_a_complement_near_zero(kernel):
+    m = BddManager()
+    q = m.var(m.new_var(0, 0, 0.7, is_query=True))
+    big = _big_or(m, 60)
+    log_value, choices, unique = m.map_best(q & ~big)
+    assert math.isclose(log_value, math.log(0.7) - 60 * math.log(2), rel_tol=1e-12)
+    assert choices == {0: 0} and unique
+
+
 def _check_map_best(ties):
     """Compare map_best with enumeration on 150 chain cases; returns how
     many it did not call unique."""

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import random
 
 import pytest
 
@@ -50,7 +51,11 @@ def test_spec_validation():
         BenchSpec("graph", 50, 0, "prob", map_fraction=0.5)
     with pytest.raises(ValueError):
         BenchSpec("graph", 50, 0, "map")
+    for fraction in (0.0, -1.0, 1.5, 5.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            BenchSpec("graph", 50, 0, "map", map_fraction=fraction)
     BenchSpec("graph", 50, 0, "map", map_fraction=0.5)
+    BenchSpec("graph", 50, 0, "map", map_fraction=1.0)
 
 
 def test_generate_covers_every_family():
@@ -132,14 +137,16 @@ def test_gh_matches_oracle():
     program = gen_gh(4)
     gp = ground(program)
     got = prob_result(program, program.queries[0], evidence=[], gp=gp).value
-    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]), abs=1e-12)
+    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]),
+                                 rel=1e-12, abs=1e-12)
 
 
 def test_gnb_matches_oracle():
     program = gen_gnb(5)
     gp = ground(program)
     got = prob_result(program, program.queries[0], evidence=[], gp=gp).value
-    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]), abs=1e-12)
+    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]),
+                                 rel=1e-12, abs=1e-12)
     # all size negated facts must come out false, each 0.5
     assert got == pytest.approx(0.5 ** 6, abs=1e-12)
 
@@ -165,7 +172,8 @@ def test_blood_matches_oracle():
     program = gen_blood(1)
     gp = ground(program)
     got = prob_result(program, program.queries[0], evidence=[], gp=gp).value
-    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]), abs=1e-12)
+    assert got == pytest.approx(exact_prob(gp, [Literal(program.queries[0])]),
+                                 rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +193,11 @@ def test_run_bench_map_uses_fraction():
     row = run_bench(spec)
     assert row.status == "ok"
     program = gen_gh(3)
-    gp = ground(program)
-    n_query = max(1, math.ceil(0.3 * len(gp.choice_vars)))
-    want = map_query(program, query_cvs=list(range(n_query))).value
-    assert row.value == pytest.approx(want, abs=1e-12)
+    n = len(ground(program).choice_vars)
+    # a seeded random ceil(0.3 n) of the choice variables, not the first
+    query_cvs = random.Random(0).sample(range(n), math.ceil(0.3 * n))
+    want = map_query(program, query_cvs=query_cvs).value
+    assert row.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_run_bench_same_spec_same_value():

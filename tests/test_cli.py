@@ -411,6 +411,15 @@ def test_bench_to_file_with_map(capsys, tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+@pytest.mark.parametrize("fraction", ["-2", "0", "5", "nan"])
+def test_bench_map_fraction_outside_unit_interval_is_exit_1(capsys, fraction):
+    code, out, err = run(capsys, "bench", "--family", "gh", "--size", "2",
+                         "--task", "prob", "--task", "map",
+                         "--fraction", fraction)
+    assert code == 1 and out == ""
+    assert "map_fraction" in err
+
+
 def test_bench_map_requires_fraction(capsys):
     code, _, err = run(capsys, "bench", "--family", "gh", "--size", "2",
                        "--task", "map")

@@ -305,6 +305,33 @@ def test_mpe_log_value_survives_underflow(kernel):
     assert res.to_json_dict()["log_value"] == res.log_value
 
 
+@pytest.mark.parametrize("size", [55, 640])
+def test_gnb_marginal_keeps_its_digits(kernel, size):
+    # the answer is 2^-(size+1); under the complemented gnb root a count
+    # taken as 1 - p cancels to 0 from size 55 on
+    from lpadc.benchgen import gen_gnb
+
+    program = gen_gnb(size)
+    got = prob_result(program, program.queries[0], evidence=[]).value
+    assert math.isclose(got, 2.0 ** -(size + 1), rel_tol=1e-12)
+
+
+def test_gnb_evidence_probability_near_zero_is_not_zero(kernel):
+    from lpadc.benchgen import gen_gnb
+
+    program = gen_gnb(55)
+    assert prob_result(program, program.queries[0]).value == 1.0
+    # the evidence forces every choice, so P(x | e) is 1
+    assert math.isclose(mpe(program, normalize=True).value, 1.0, rel_tol=1e-9)
+
+
+def test_gnb_map_boundary_keeps_its_digits(kernel):
+    from lpadc.benchgen import gen_gnb
+
+    res = map_query(gen_gnb(60), query_cvs=[0])
+    assert math.isclose(res.log_value, -61 * math.log(2), rel_tol=1e-12)
+
+
 def test_decode_defaults_to_most_probable_head(kernel):
     from lpadc.compiler import compile_program
 
