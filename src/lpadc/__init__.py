@@ -40,7 +40,6 @@ from .infer import (
     mpe,
     prob_result,
 )
-from . import oracle
 
 __version__ = "0.1.0"
 
@@ -85,6 +84,5 @@ __all__ = [
     "map_query",
     "mpe",
     "prob_result",
-    "oracle",
     "__version__",
 ]

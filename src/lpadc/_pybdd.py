@@ -99,6 +99,9 @@ class Kernel:
     def level_order(self):
         return list(self._var_at)
 
+    def top_level(self, ref):
+        return self._level_of[self._var[ref >> 1]] if ref >> 1 else len(self._var_at)
+
     # ---- node store ----
 
     def live_nodes(self):

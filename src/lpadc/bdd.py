@@ -14,7 +14,6 @@ counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _pybdd
 from ._pybdd import NodeLimitError  # re-exported
@@ -48,15 +47,17 @@ def _near(a, b):
     return abs(a - b) <= TIE_TOL * max(1.0, abs(max(a, b)))
 
 
-@dataclass(frozen=True)
 class BddVarInfo:
-    var_id: int
-    level: int
-    group: int
-    index: int
-    weight: float
-    zero_weight: float
-    is_query: bool
+    __slots__ = ("var_id", "level", "group", "index", "weight", "zero_weight", "is_query")
+
+    def __init__(self, var_id, level, group, index, weight, zero_weight, is_query):
+        self.var_id = var_id
+        self.level = level
+        self.group = group
+        self.index = index
+        self.weight = weight
+        self.zero_weight = zero_weight
+        self.is_query = is_query
 
 
 class BddRef:
@@ -192,6 +193,10 @@ class BddManager:
 
     def level_order(self):
         return self._k.level_order()
+
+    def top_level(self, a):
+        """The level of the variable a tests first; num_vars for a constant."""
+        return self._k.top_level(a.ref)
 
     # ---- operations ----
 

@@ -19,7 +19,6 @@ import math
 import multiprocessing
 import queue as queue_module
 import time
-from dataclasses import dataclass
 from random import Random
 
 from .bdd import NodeLimitError
@@ -34,29 +33,29 @@ CSV_FIELDS = ("family", "size", "seed", "task", "fraction", "time_s", "value", "
 REPLY_WAIT_S = 1.0
 
 
-@dataclass(frozen=True)
 class BenchSpec:
-    family: str
-    size: int
-    seed: int
-    task: str
-    map_fraction: float | None = None
-    timeout: float | None = None
-    node_cap: int | None = None
+    __slots__ = ("family", "size", "seed", "task", "map_fraction", "timeout", "node_cap")
 
-    def __post_init__(self):
-        if self.family not in BENCH_FAMILIES:
-            raise ValueError("unknown family %r" % (self.family,))
-        if self.task not in BENCH_TASKS:
-            raise ValueError("unknown task %r" % (self.task,))
-        if self.size < 1:
+    def __init__(self, family, size, seed, task, map_fraction=None, timeout=None,
+                 node_cap=None):
+        if family not in BENCH_FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        if task not in BENCH_TASKS:
+            raise ValueError("unknown task %r" % (task,))
+        if size < 1:
             raise ValueError("size must be >= 1")
-        if (self.map_fraction is not None) != (self.task == "map"):
+        if (map_fraction is not None) != (task == "map"):
             raise ValueError("map_fraction goes with the map task only")
-        if self.map_fraction is not None and not 0.0 < self.map_fraction <= 1.0:
-            raise ValueError("map_fraction must be in (0, 1], not %r"
-                             % (self.map_fraction,))
-        check_limits(self.timeout, self.node_cap)
+        if map_fraction is not None and not 0.0 < map_fraction <= 1.0:
+            raise ValueError("map_fraction must be in (0, 1], not %r" % (map_fraction,))
+        check_limits(timeout, node_cap)
+        self.family = family
+        self.size = size
+        self.seed = seed
+        self.task = task
+        self.map_fraction = map_fraction
+        self.timeout = timeout
+        self.node_cap = node_cap
 
 
 def check_limits(timeout, node_cap, names=("timeout", "node_cap")):
@@ -69,16 +68,18 @@ def check_limits(timeout, node_cap, names=("timeout", "node_cap")):
                          % (names[1], node_cap))
 
 
-@dataclass(frozen=True)
 class BenchRow:
-    family: str
-    size: int
-    seed: int
-    task: str
-    fraction: float | None
-    time_s: float
-    value: float | None
-    status: str  # ok | timeout | memcap | crash | error
+    __slots__ = ("family", "size", "seed", "task", "fraction", "time_s", "value", "status")
+
+    def __init__(self, family, size, seed, task, fraction, time_s, value, status):
+        self.family = family
+        self.size = size
+        self.seed = seed
+        self.task = task
+        self.fraction = fraction  # float or None
+        self.time_s = time_s
+        self.value = value  # float or None
+        self.status = status  # ok | timeout | memcap | crash | error
 
     def to_csv_dict(self):
         return {

@@ -10,13 +10,12 @@ import argparse
 import json
 import signal
 import sys
-from dataclasses import replace
 
 from . import benchgen, infer, oracle
 from .bdd import NodeLimitError
 from .compiler import CompileError, compile_program, compile_query
 from .grounder import GroundingError, StratificationError, format_ground, ground
-from .model import Assignment, Literal
+from .model import Assignment, Literal, Program
 from .parser import ParseError, parse_atom, parse_literal, parse_program
 
 
@@ -39,7 +38,8 @@ def _read_program(args):
         print("warning: %s" % warning, file=sys.stderr)
     if getattr(args, "evidence", None):
         extra = tuple(parse_literal(text) for text in args.evidence)
-        program = replace(program, evidence=program.evidence + extra)
+        program = Program(program.clauses, program.evidence + extra, program.queries,
+                          program.warnings)
     return program
 
 

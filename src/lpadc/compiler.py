@@ -36,8 +36,6 @@ Every formula depends on a chain only through the value it selects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bdd import BddManager
 
 TASK_MODES = ("prob", "mpe", "map")
@@ -115,10 +113,12 @@ class Encoding:
         return out
 
 
-@dataclass
 class CompileStats:
-    fixpoint_iterations: int = 0  # passes over components, one per acyclic one
-    strata_processed: int = 0  # components built
+    __slots__ = ("fixpoint_iterations", "strata_processed")
+
+    def __init__(self, fixpoint_iterations=0, strata_processed=0):
+        self.fixpoint_iterations = fixpoint_iterations  # component passes, one per acyclic one
+        self.strata_processed = strata_processed  # components built
 
 
 class CompiledProgram:
@@ -263,13 +263,15 @@ def _ensure_atoms(cp, atoms):
                 f = m.false
                 for gi, pos in gp.rules_by_head.get(a, ()):
                     gc = gp.ground_clauses[gi]
+                    ops = [~formula_of(lit.atom) if lit.negated else formula_of(lit.atom)
+                           for lit in gc.body]
                     if gc.cv_index is not None:
-                        term = cp.encoding.value_bdd(gc.cv_index, gc.value_index(pos))
-                    else:
-                        term = m.true
-                    for lit in gc.body:
-                        sub = formula_of(lit.atom)
-                        term = term & (~sub if lit.negated else sub)
+                        ops.insert(0, cp.encoding.value_bdd(gc.cv_index, gc.value_index(pos)))
+                    # deepest first, so each conjunction adds levels above the term
+                    ops.sort(key=m.top_level, reverse=True)
+                    term = ops[0] if ops else m.true
+                    for op in ops[1:]:
+                        term = term & op
                         if term.is_false:
                             break
                     f = f | term

@@ -13,16 +13,17 @@ demanded too, so the part holds every choice variable of the program.
 
 The possible atoms are a least fixpoint, computed by semi-naive evaluation
 (Bancilhon & Ramakrishnan, SIGMOD 1986) in rounds.  Round 0 fires the
-clauses without a positive body literal.  Round r fires a clause only when
-one of its positive body predicates gained atoms in round r-1 (the delta),
-once per such literal i: the literals before i join against the atoms older
-than the delta, literal i against the delta, and the literals after i
-against every atom up to the delta, so each instance is found exactly once.
-The delta literal is joined first, the others after it in literal order.
-Candidate atoms come from an index keyed on (pred, arity, position,
-constant) for the first argument already bound when a literal is joined,
-and on (pred, arity) when none is; only positions some literal probes while
-bound are indexed.
+clauses without a positive body literal; a fact without variables is its
+own instance, and no join plan is built for it.  Round r fires a clause
+only when one of its positive body predicates gained atoms in round r-1
+(the delta), once per such literal i: the literals before i join against
+the atoms older than the delta, literal i against the delta, and the
+literals after i against every atom up to the delta, so each instance is
+found exactly once.  The delta literal is joined first, the others after it
+in literal order.  Candidate atoms come from an index keyed on (pred,
+arity, position, constant) for the first argument already bound when a
+literal is joined, and on (pred, arity) when none is; only positions some
+literal probes while bound are indexed.
 
 With a demand, a static adornment pass first follows the calls from the
 demanded atoms (with choices, also from each head of each probabilistic
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -82,16 +82,18 @@ class StratificationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class GroundClause:
     """One ground instance of a source clause."""
 
-    clause_id: int
-    grounding_id: int
-    heads: tuple  # ((Atom, float), ...) explicit heads, instantiated
-    body: tuple  # (Literal, ...)
-    null_prob: float
-    cv_index: object  # int, or None for deterministic instances
+    __slots__ = ("clause_id", "grounding_id", "heads", "body", "null_prob", "cv_index")
+
+    def __init__(self, clause_id, grounding_id, heads, body, null_prob, cv_index):
+        self.clause_id = clause_id
+        self.grounding_id = grounding_id
+        self.heads = heads  # ((Atom, float), ...) explicit heads, instantiated
+        self.body = body  # (Literal, ...)
+        self.null_prob = null_prob
+        self.cv_index = cv_index  # int, or None for deterministic instances
 
     @property
     def has_null(self):
@@ -102,15 +104,17 @@ class GroundClause:
         return head_pos + 1 if self.has_null else head_pos
 
 
-@dataclass(frozen=True)
 class Strata:
     """The strongly connected components of the atom dependency graph, each
     after the components it depends on: a stratification, and the order in
     which the compiler evaluates."""
 
-    levels: tuple  # (tuple[Atom, ...], ...) one per component, dependencies first
-    index: dict  # Atom -> component number
-    cyclic: tuple  # per component: more than one atom, or an atom depending on itself
+    __slots__ = ("levels", "index", "cyclic")
+
+    def __init__(self, levels, index, cyclic):
+        self.levels = levels  # a tuple of atoms per component, dependencies first
+        self.index = index  # Atom -> component number
+        self.cyclic = cyclic  # per component: several atoms, or one depending on itself
 
     def level_of(self, atom):
         return self.index.get(atom, 0)
@@ -240,10 +244,11 @@ def _fixpoint(clauses):
     atoms in derivation order, and each clause's instances as (heads, body)
     in grounding order (see the module docstring)."""
     probed = set()  # (pred, arity, position) some literal probes while bound
-    joins = [_ClauseJoin(cl, probed) for cl in clauses]
+    joins = [None if not cl.body and not cl.variables() else _ClauseJoin(cl, probed)
+             for cl in clauses]
     triggers = {}  # (pred, arity) -> [(clause number, positive literal number)]
     for ci, cj in enumerate(joins):
-        for j, atom in enumerate(cj.positives):
+        for j, atom in enumerate(cj.positives if cj else ()):
             triggers.setdefault((atom.pred, len(atom.args)), []).append((ci, j))
 
     atoms = []  # atom number -> Atom, in derivation order
@@ -289,7 +294,9 @@ def _fixpoint(clauses):
                 join(steps, k + 1, ranges, env, chosen, found, cj)
 
     for ci, cj in enumerate(joins):  # round 0
-        if not cj.positives:
+        if cj is None:
+            add_instance(ci, (clauses[ci].heads, ()))
+        elif not cj.positives:
             add_instance(ci, cj.instance(()))
     lo = 0
     while lo < len(atoms):
@@ -308,6 +315,7 @@ def _fixpoint(clauses):
             for _, inst in found:
                 add_instance(ci, inst)
         lo = hi
+    del join  # it refers to itself: break the cycle, so refcounting frees the atoms
     return atoms, instances
 
 

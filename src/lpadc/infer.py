@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
 
 from . import grounder
 from .bdd import _log, _near
@@ -58,19 +57,23 @@ class InferError(Exception):
     pass
 
 
-@dataclass
 class InferenceStats:
-    ground_atoms: int = 0
-    ground_clauses: int = 0
-    choice_vars: int = 0
-    bool_vars: int = 0
-    bdd_nodes: int = 0
-    fixpoint_iterations: int = 0
-    tie_groups: int = 0  # MPE/MAP: query groups a tie fixed by conditioning
-    wall_time_s: float = 0.0
+    __slots__ = ("ground_atoms", "ground_clauses", "choice_vars", "bool_vars",
+                 "bdd_nodes", "fixpoint_iterations", "tie_groups", "wall_time_s")
+
+    def __init__(self, ground_atoms=0, ground_clauses=0, choice_vars=0, bool_vars=0,
+                 bdd_nodes=0, fixpoint_iterations=0, tie_groups=0, wall_time_s=0.0):
+        self.ground_atoms = ground_atoms
+        self.ground_clauses = ground_clauses
+        self.choice_vars = choice_vars
+        self.bool_vars = bool_vars
+        self.bdd_nodes = bdd_nodes
+        self.fixpoint_iterations = fixpoint_iterations
+        self.tie_groups = tie_groups  # MPE/MAP: query groups a tie fixed by conditioning
+        self.wall_time_s = wall_time_s
 
     def to_json_dict(self):
-        return asdict(self)
+        return {f: getattr(self, f) for f in self.__slots__}
 
 
 def _stats(cp, nodes, start):
@@ -86,14 +89,16 @@ def _stats(cp, nodes, start):
     )
 
 
-@dataclass
 class InferenceResult:
-    task: str
-    value: float
-    log_value: float  # natural log of value; -inf when value is 0
-    normalized: bool
-    assignment: object  # Assignment or None
-    stats: InferenceStats
+    __slots__ = ("task", "value", "log_value", "normalized", "assignment", "stats")
+
+    def __init__(self, task, value, log_value, normalized, assignment, stats):
+        self.task = task
+        self.value = value
+        self.log_value = log_value  # natural log of value; -inf when value is 0
+        self.normalized = normalized
+        self.assignment = assignment  # Assignment or None
+        self.stats = stats  # InferenceStats
 
     def to_json_dict(self):
         return {

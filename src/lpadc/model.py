@@ -5,22 +5,51 @@ probabilities sum to at most 1; the missing mass goes to an implicit "null"
 head meaning "no head is selected".  Ground instances of probabilistic
 clauses become choice variables, and a world is one head selection per
 choice variable.
+
+Records are plain classes with slots, none guarding against assignment.
+Var, Atom (hashed once), Literal, AnnotatedClause, ChoiceVariable,
+Assignment and Program (not its warnings) compare by value, the first two
+by hand as grounding hashes them; other records compare by identity.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 HEAD_SUM_TOL = 1e-9
 
 NULL_NAME = "null"
 
 
-@dataclass(frozen=True)
+class ValueRecord:
+    """A record that compares and hashes by the fields named in _compare."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in self._compare)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._compare))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
 class Var:
     """A logical variable (uppercase or underscore initial)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return other.__class__ is Var and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return "Var(%r)" % (self.name,)
 
     def __str__(self):
         return self.name
@@ -34,10 +63,22 @@ def term_str(t):
     return str(t)
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: str
-    args: tuple = ()
+    __slots__ = ("pred", "args", "_hash")
+
+    def __init__(self, pred, args=()):
+        self.pred = pred
+        self.args = args
+        self._hash = hash((pred, args))
+
+    def __eq__(self, other):
+        return other.__class__ is Atom and self.pred == other.pred and self.args == other.args
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "Atom(%r, %r)" % (self.pred, self.args)
 
     def is_ground(self):
         return not any(isinstance(a, Var) for a in self.args)
@@ -58,10 +99,12 @@ class Atom:
 NULL = Atom(NULL_NAME)
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    negated: bool = False
+class Literal(ValueRecord):
+    __slots__ = _compare = ("atom", "negated")
+
+    def __init__(self, atom, negated=False):
+        self.atom = atom
+        self.negated = negated
 
     def __str__(self):
         return ("\\+ " if self.negated else "") + str(self.atom)
@@ -70,8 +113,7 @@ class Literal:
         return Literal(self.atom, not self.negated)
 
 
-@dataclass(frozen=True)
-class AnnotatedClause:
+class AnnotatedClause(ValueRecord):
     """One source clause: explicit heads with probabilities plus a body.
 
     ``heads`` keeps the authored order and never contains zero-probability
@@ -81,10 +123,13 @@ class AnnotatedClause:
     value-wise via :meth:`values`.
     """
 
-    clause_id: int
-    heads: tuple  # ((Atom, float), ...)
-    body: tuple = ()  # (Literal, ...)
-    is_query: bool = False
+    __slots__ = _compare = ("clause_id", "heads", "body", "is_query")
+
+    def __init__(self, clause_id, heads, body=(), is_query=False):
+        self.clause_id = clause_id
+        self.heads = heads  # ((Atom, float), ...)
+        self.body = body  # (Literal, ...)
+        self.is_query = is_query
 
     @property
     def head_sum(self):
@@ -136,12 +181,15 @@ def implicit_null(heads):
     return tuple(heads)
 
 
-@dataclass(frozen=True)
-class Program:
-    clauses: tuple = ()
-    evidence: tuple = ()  # (Literal, ...), conjunction
-    queries: tuple = ()  # (Atom, ...)
-    warnings: tuple = field(default=(), compare=False)
+class Program(ValueRecord):
+    __slots__ = ("clauses", "evidence", "queries", "warnings")
+    _compare = ("clauses", "evidence", "queries")
+
+    def __init__(self, clauses=(), evidence=(), queries=(), warnings=()):
+        self.clauses = clauses
+        self.evidence = evidence  # (Literal, ...), conjunction
+        self.queries = queries  # (Atom, ...)
+        self.warnings = warnings
 
     def constants(self):
         out = []
@@ -168,21 +216,25 @@ class Program:
         return out
 
 
-@dataclass(frozen=True)
-class ChoiceVariable:
+class ChoiceVariable(ValueRecord):
     """One ground instance of a probabilistic clause.
 
     ``probs``/``ground_heads`` are aligned by selection index: entry 0 is the
     null head when the clause has one.
     """
 
-    index: int  # position in GroundProgram.choice_vars
-    clause_id: int
-    grounding_id: int
-    probs: tuple  # (float, ...)
-    ground_heads: tuple  # (Atom, ...), NULL sentinel included
-    ground_body: tuple  # (Literal, ...)
-    is_query: bool = False
+    __slots__ = _compare = ("index", "clause_id", "grounding_id", "probs",
+                            "ground_heads", "ground_body", "is_query")
+
+    def __init__(self, index, clause_id, grounding_id, probs, ground_heads,
+                 ground_body, is_query=False):
+        self.index = index  # position in GroundProgram.choice_vars
+        self.clause_id = clause_id
+        self.grounding_id = grounding_id
+        self.probs = probs  # (float, ...)
+        self.ground_heads = ground_heads  # (Atom, ...), NULL sentinel included
+        self.ground_body = ground_body  # (Literal, ...)
+        self.is_query = is_query
 
     @property
     def n_values(self):
@@ -206,11 +258,13 @@ class ChoiceVariable:
         return max((k % n for k in chain), key=self.probs.__getitem__)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(ValueRecord):
     """A head selection per choice variable, as returned by MPE/MAP."""
 
-    entries: tuple  # ((ChoiceVariable, int selection), ...)
+    __slots__ = _compare = ("entries",)
+
+    def __init__(self, entries):
+        self.entries = entries  # ((ChoiceVariable, int selection), ...)
 
     def as_dict(self):
         return {cv.index: k for cv, k in self.entries}
@@ -260,10 +314,12 @@ def body_str(body):
     return "(%s)" % ",".join(parts)
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    clause_id: object  # int or None for program-level issues
-    message: str
+    __slots__ = ("clause_id", "message")
+
+    def __init__(self, clause_id, message):
+        self.clause_id = clause_id  # int or None for program-level issues
+        self.message = message
 
     def __str__(self):
         where = "program" if self.clause_id is None else "clause %d" % self.clause_id

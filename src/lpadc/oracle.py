@@ -10,7 +10,6 @@ serve as an independent check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 ORACLE_WORLD_CAP = 1 << 22
 
@@ -19,11 +18,13 @@ class OracleCapError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class World:
-    selection: tuple  # one value index per choice variable
-    probability: float
-    model: frozenset  # ground atoms true in this world
+    __slots__ = ("selection", "probability", "model")
+
+    def __init__(self, selection, probability, model):
+        self.selection = selection  # one value index per choice variable
+        self.probability = probability
+        self.model = model  # frozenset of the ground atoms true in this world
 
     def entails(self, literals):
         for lit in literals:

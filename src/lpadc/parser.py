@@ -18,7 +18,6 @@ or integers; variables start uppercase or with an underscore.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import (
     AnnotatedClause,
@@ -45,11 +44,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class SourceSpan:
-    filename: str
-    line: int
-    col: int
+    __slots__ = ("filename", "line", "col")
+
+    def __init__(self, filename, line, col):
+        self.filename = filename
+        self.line = line
+        self.col = col
 
     def __str__(self):
         return "%s:%d:%d" % (self.filename, self.line, self.col)

@@ -17,10 +17,10 @@ grounding with a demand must return.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from lpadc.grounder import ground
-from lpadc.model import Atom, Literal
+from lpadc.model import AnnotatedClause, Atom, Literal, Program
 from lpadc.oracle import exact_prob
 from lpadc.parser import parse_atom, parse_program
 
@@ -196,7 +196,8 @@ def untied(program, seed=0):
         if cl.n_values > 1:
             w = [rng.uniform(0.5, 1.0) for _ in range(cl.n_values)]
             heads = w[-len(cl.heads):]
-            cl = replace(cl, heads=tuple(
-                (atom, x / sum(w)) for (atom, _), x in zip(cl.heads, heads)))
+            cl = AnnotatedClause(cl.clause_id, tuple(
+                (atom, x / sum(w)) for (atom, _), x in zip(cl.heads, heads)),
+                cl.body, cl.is_query)
         clauses.append(cl)
-    return replace(program, clauses=tuple(clauses))
+    return Program(tuple(clauses), program.evidence, program.queries, program.warnings)

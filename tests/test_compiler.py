@@ -142,6 +142,18 @@ def test_order_chain_weights_have_unit_sum(kernel):
 # formula compilation
 
 
+def test_clause_operands_conjoin_deepest_first(kernel):
+    # gnb's body variables lie above its clause's chain; conjoined in body
+    # order, each literal rebuilt the growing term (45,451 live nodes at 300)
+    from lpadc.benchgen import generate
+
+    program = generate("gnb", 300, 0)
+    query = program.queries[0]
+    cp = compile_program(ground(program, [query]), roots=[query])
+    assert compile_query(cp, [Literal(query)]).node_count() == 301
+    assert cp.manager.live_nodes() <= 3 * 301
+
+
 def test_deterministic_fact_compiles_to_true(kernel):
     gp = _gp("f.\na:0.5 :- f.\n")
     cp = compile_program(gp)

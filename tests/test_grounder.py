@@ -169,6 +169,17 @@ def test_import_does_not_load_networkx():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_import_does_not_load_dataclasses_inspect_or_typing():
+    # -S: an installed package's .pth file may import typing at start-up
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    code = ("import sys, lpadc, lpadc.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_variable_clause_without_constants_rejected():
     with pytest.raises(GroundingError):
         gp_of("p(X):0.5 :- q(X).")

@@ -289,6 +289,23 @@ def test_manager_freed_without_cycle_collection(kernel, ex2, monkeypatch):
         gc.enable()
 
 
+def test_queries_leave_no_cyclic_garbage(kernel):
+    # reference counting frees everything a query builds, its ground atoms
+    # included, so the cycle collector finds nothing afterwards
+    from lpadc.benchgen import generate
+
+    graph, blood = generate("graph", 30, 0), generate("blood", 2, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        prob_result(graph, graph.queries[0])
+        mpe(blood)
+        map_query(blood, query_cvs=[0, 1])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_mpe_log_value_survives_underflow(kernel):
     # 1,100 independent choices at 0.5: the MPE probability 0.5**1100
     # underflows a float, its log does not
