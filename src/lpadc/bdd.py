@@ -229,17 +229,13 @@ class BddManager:
     def map_best(self, a):
         """Max-product pass over the query chains, in log space.
 
-        Returns (log_value, choices, unique).  log_value is the log of the
-        maximum, over values of the query groups, of the probability of
-        those values times the probability of `a` given them; choices maps
-        each query group the best path tests to the chain position of its
-        best value, the first such position on a tie inside the group.  A
-        group the best path never tests is not in choices: every one of its
-        values reaches the same remainder.  unique is False when another
-        selection may score as well, up to TIE_TOL: a node on the best path
-        scores both branches alike, or two values of some query group have
-        probabilities within TIE_TOL.  Otherwise the maximiser is the only
-        one, whatever the variable order.
+        Returns (log_value, choices).  log_value is the log of the maximum,
+        over values of the query groups, of the probability of those values
+        times the probability of `a` given them.  choices maps every query
+        group to the chain position of its value in the first maximiser: of
+        the selections that score alike up to TIE_TOL, the one whose chain
+        positions, compared group by group in increasing group id, come
+        first.  So the pick does not depend on the variable order.
 
         The contract, which the compiler's encoding meets: every query
         variable sits above every other one, each query group's variables
@@ -254,6 +250,16 @@ class BddManager:
         product of m_h[0] over the whole query groups h that the edge
         jumps.  The first non-query node below is a weighted-count
         boundary.
+
+        Ties are settled in the same pass.  A group that a path jumps or
+        leaves reaches the same remainder with each of its values, so it
+        takes the first position attaining m_g.  The groups below a node
+        are disjoint from those above it, so the first maximiser from a node
+        is the first of its two branches' first ones.  Where the two
+        branches score alike, the pass follows the branches already taken
+        below each of them, compares the values the two paths decide in
+        group order (a group a path jumps at its first best value) and keeps
+        the branch whose selection comes first.
         """
         k = self._k
         order = k.level_order()
@@ -276,7 +282,6 @@ class BddManager:
         where = {}  # query var -> (group position, bit)
         lw1, lw0, lm, best = [], [], [], []  # per group position, by bit
         skip = [0.0]  # skip[i]: sum of log m_h[0] over positions h < i
-        unique = True
         for gpos, (_, ids) in enumerate(groups):
             w1 = [_log(k.var_weight(v)) for v in ids]
             w0 = [_log(k.var_zero_weight(v)) for v in ids]
@@ -284,13 +289,9 @@ class BddManager:
             for j in reversed(range(len(ids))):
                 where[ids[j]] = (gpos, j)
                 one, zero = w1[j], w0[j] + m[j + 1]
-                if one >= zero:
-                    m[j] = one
-                else:
-                    m[j], arg[j] = zero, arg[j + 1]
-            # the log probability of each value, in increasing order
-            lp = sorted(sum(w0[:j]) + w for j, w in enumerate(w1 + [0.0]))
-            unique = unique and not any(map(_near, lp, lp[1:]))
+                m[j] = max(one, zero)
+                if one < zero and not _near(one, zero):
+                    arg[j] = arg[j + 1]
             lw1.append(w1)
             lw0.append(w0)
             lm.append(m)
@@ -300,7 +301,7 @@ class BddManager:
 
         # query node -> (group position, bit, lo, hi)
         nodes = {n: where[v] + (lo, hi) for n, v, lo, hi in k.nodes(a.ref) if v in where}
-        val, score = {}, {}  # per complement: best, (1-branch, 0-branch)
+        val, take_hi = {}, {}  # per complement: best, whether the 1-branch wins
 
         def child(ref, comp):
             """(entry group position, log value) of an edge's target."""
@@ -310,11 +311,30 @@ class BddManager:
                 return nodes[n][0], val[n][comp]
             return end, _log(k.prob((n << 1) | comp))
 
+        # the pick of a group a path jumps: every value reaches the same
+        # remainder, so its first most probable one
+        top = {g: best[gpos][0] for gpos, (g, _) in enumerate(groups)}
+
+        def walk(ref, comp, out):
+            """Follow the taken branches from the edge ref, setting in out the
+            chain position of each group a branch decides."""
+            while ref >> 1 in nodes:
+                comp ^= ref & 1
+                gpos, j, lo, hi = nodes[ref >> 1]
+                if take_hi[ref >> 1][comp]:
+                    out[groups[gpos][0]] = j
+                    ref = hi
+                else:
+                    if nodes.get(lo >> 1, (end,))[0] != gpos:  # exits the group
+                        out[groups[gpos][0]] = best[gpos][j + 1]
+                    ref = lo
+            return out
+
         # deepest first, so children are scored before their parents
         for n in sorted(nodes, key=nodes.get, reverse=True):
             gpos, j, lo, hi = nodes[n]
-            out = skip[gpos + 1]
-            val[n], score[n] = [], []
+            g, out = groups[gpos][0], skip[gpos + 1]
+            val[n], take_hi[n] = [], []
             for comp in (0, 1):
                 hpos, hval = child(hi, comp)
                 s1 = lw1[gpos][j] + skip[hpos] - out + hval
@@ -323,26 +343,18 @@ class BddManager:
                 if lpos != gpos:
                     s0 += lm[gpos][j + 1] + skip[lpos] - out
                 val[n].append(max(s1, s0))
-                score[n].append((s1, s0))
+                if not _near(s1, s0):
+                    take_hi[n].append(s1 > s0)
+                    continue
+                # compare the two branches' selections in group order
+                one = walk(hi, comp, {g: j})
+                zero = walk(lo, comp, {} if lpos == gpos else {g: best[gpos][j + 1]})
+                keys = sorted(one.keys() | zero.keys())
+                take_hi[n].append([one.get(h, top[h]) for h in keys]
+                                  < [zero.get(h, top[h]) for h in keys])
 
         rpos, log_value = child(a.ref, 0)
-        log_value += skip[rpos]
-        choices = {}
-        ref, comp = a.ref, 0
-        while ref >> 1 in nodes:
-            comp ^= ref & 1
-            gpos, j, lo, hi = nodes[ref >> 1]
-            g = groups[gpos][0]
-            s1, s0 = score[ref >> 1][comp]
-            unique = unique and not _near(s1, s0)
-            if s1 >= s0:
-                choices[g] = j
-                ref = hi
-            else:
-                if nodes.get(lo >> 1, (end,))[0] != gpos:
-                    choices[g] = best[gpos][j + 1]
-                ref = lo
-        return log_value, choices, unique
+        return log_value + skip[rpos], walk(a.ref, 0, top)
 
     # No inference path reorders.  Kept while the benchmark's tracer
     # (perfbench/tracing.py) patches reorder_groups_front by name.

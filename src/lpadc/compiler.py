@@ -23,8 +23,9 @@ created first, in the relative order of the same post-order (or of the
 caller's creation_order), so they sit on the top levels of the diagram,
 which is the layout the max-product pass in BddManager.map_best needs.
 lpadc.infer passes the evidence's cone_order as the creation order, so only
-the variables the evidence depends on get chains, and settles a tie on the
-same diagram, so the reported maximiser does not depend on the order.
+the variables the evidence depends on get chains.  The pass settles ties by
+index order, not level order, so the reported maximiser does not depend on
+the order.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to

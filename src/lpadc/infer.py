@@ -13,11 +13,10 @@ path enters a chain at its first bit and leaves it after a 1-branch.
 
 Of several equal maximisers the first is reported: compare the choice
 variables in index order and each one's values in chain order (the explicit
-heads as written, the null head last).  The pass says whether its maximiser
-is unique; when it may not be, _settle fixes the query groups one at a time
-on the same diagram, by conjunction with each value in turn, and
-stats.tie_groups counts the groups it fixed.  Value, log_value and selection
-therefore do not depend on the variable order.
+heads as written, the null head last).  The same pass picks it: where a
+node's two branches score alike it keeps the branch whose best selection
+comes first.  Value, log_value and selection therefore do not depend on the
+variable order.
 
 Maximization reports the joint probability P(x, e) by default; pass
 normalize=True for P(x | e).  The pass runs in log space and the result
@@ -48,7 +47,7 @@ import math
 import time
 
 from . import grounder
-from .bdd import _log, _near
+from .bdd import _log
 from .compiler import compile_program, compile_query, cone_order
 from .model import Assignment, Literal, validate
 
@@ -59,17 +58,16 @@ class InferError(Exception):
 
 class InferenceStats:
     __slots__ = ("ground_atoms", "ground_clauses", "choice_vars", "bool_vars",
-                 "bdd_nodes", "fixpoint_iterations", "tie_groups", "wall_time_s")
+                 "bdd_nodes", "fixpoint_iterations", "wall_time_s")
 
     def __init__(self, ground_atoms=0, ground_clauses=0, choice_vars=0, bool_vars=0,
-                 bdd_nodes=0, fixpoint_iterations=0, tie_groups=0, wall_time_s=0.0):
+                 bdd_nodes=0, fixpoint_iterations=0, wall_time_s=0.0):
         self.ground_atoms = ground_atoms
         self.ground_clauses = ground_clauses
         self.choice_vars = choice_vars
         self.bool_vars = bool_vars
         self.bdd_nodes = bdd_nodes
         self.fixpoint_iterations = fixpoint_iterations
-        self.tie_groups = tie_groups  # MPE/MAP: query groups a tie fixed by conditioning
         self.wall_time_s = wall_time_s
 
     def to_json_dict(self):
@@ -179,9 +177,9 @@ def prob_result(program, query, evidence=None, node_cap=None, gp=None):
 
 
 def decode(choices, encoding, query_cvs):
-    """Turn the best path's chain positions ({choice variable: position})
-    into one head selection per query choice variable; variables the path
-    never tests take their most probable head."""
+    """Turn map_best's chain positions ({choice variable: position}) into
+    one head selection per query choice variable; variables without a chain
+    take their most probable head."""
     gp = encoding.gp
     entries = []
     for ci in sorted(query_cvs):
@@ -191,23 +189,6 @@ def decode(choices, encoding, query_cvs):
         entries.append((cv, k))
     entries.sort(key=lambda e: (e[0].clause_id, e[0].grounding_id))
     return Assignment(tuple(entries))
-
-
-def _settle(cp, eref, log_value):
-    """The first of several maximisers: fix the query groups that have a
-    chain one at a time, in index order, each to its first chain position
-    that still reaches log_value.  Returns {choice variable: position}."""
-    enc = cp.encoding
-    fixed, choices = eref, {}
-    for ci in sorted(cp.query_cvs):
-        if enc.group_vars(ci) is None:
-            continue
-        for pos in range(cp.gp.choice_vars[ci].n_values):
-            f = fixed & enc.value_bdd(ci, enc.value_at(ci, pos))
-            if _near(cp.manager.map_best(f)[0], log_value):
-                break
-        fixed, choices[ci] = f, pos
-    return choices
 
 
 def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
@@ -228,9 +209,7 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
         # every variable weight is positive, so an unsatisfiable BDD is the
         # only way the evidence can have probability zero
         raise InferError("evidence has probability zero")
-    log_value, choices, unique = cp.manager.map_best(eref)
-    if not unique:
-        choices = _settle(cp, eref, log_value)
+    log_value, choices = cp.manager.map_best(eref)
     assignment = decode(choices, cp.encoding, cp.query_cvs)
     # a query variable outside the cone takes its most probable head whatever
     # the rest selects; a summed-out one contributes its total mass, 1
@@ -241,11 +220,8 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
         if p_ev <= 0.0:
             raise InferError("evidence probability underflows to zero")
         log_value -= math.log(p_ev)
-    stats = _stats(cp, eref.node_count(), start)
-    stats.tie_groups = 0 if unique else len(choices)
-    return InferenceResult(
-        task, math.exp(log_value), log_value, normalize, assignment, stats
-    )
+    return InferenceResult(task, math.exp(log_value), log_value, normalize,
+                           assignment, _stats(cp, eref.node_count(), start))
 
 
 def mpe(program, evidence=None, normalize=False, node_cap=None, gp=None):

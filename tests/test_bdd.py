@@ -140,36 +140,33 @@ def test_map_best_boundary_keeps_a_complement_near_zero(kernel):
     m = BddManager()
     q = m.var(m.new_var(0, 0, 0.7, is_query=True))
     big = _big_or(m, 60)
-    log_value, choices, unique = m.map_best(q & ~big)
+    log_value, choices = m.map_best(q & ~big)
     assert math.isclose(log_value, math.log(0.7) - 60 * math.log(2), rel_tol=1e-12)
-    assert choices == {0: 0} and unique
+    assert choices == {0: 0}
 
 
 def _check_map_best(ties):
-    """Compare map_best with enumeration on 150 chain cases; returns how
-    many it did not call unique."""
+    """Compare map_best with enumeration on 150 chain cases: the value, and
+    the pick against the first of the maximisers in group order.  Returns
+    how many cases have several maximisers."""
     tied = 0
     for seed in range(150):
         m = BddManager()
         groups, tree, ref = bddcases.chain_case(seed, m, ties=ties)
         want, score = bddcases.brute_map(groups, tree)
-        log_value, choices, unique = m.map_best(ref)
+        log_value, choices = m.map_best(ref)
         assert math.isclose(math.exp(log_value), want, rel_tol=1e-12,
                             abs_tol=1e-300), "seed %d" % seed
         if want == 0.0:
             continue
-        # an untested group reaches the same remainder with every value,
-        # so completing it with its most probable value stays optimal
-        picks = []
-        for g, (probs, _, is_query) in enumerate(groups):
-            if is_query:
-                picks.append(choices.get(g, probs.index(max(probs))))
-        assert math.isclose(score(picks), want, rel_tol=1e-12), "seed %d" % seed
+        # the query groups are created first, so their ids are 0, 1, ...
+        n_query = sum(q for _, _, q in groups)
+        assert set(choices) == set(range(n_query)), "seed %d" % seed
+        pick = tuple(choices[g] for g in range(n_query))
         best = [q for q in bddcases.query_values(groups)
                 if math.isclose(score(q), want, rel_tol=1e-9)]
-        # unique promises a single maximiser; several always clear it
-        assert len(best) == 1 or not unique, "seed %d" % seed
-        tied += not unique
+        assert pick == min(best), "seed %d" % seed
+        tied += len(best) > 1
     return tied
 
 
@@ -184,29 +181,35 @@ def test_map_best_reports_ties(kernel):
     assert _check_map_best(ties=True) > 20
 
 
-def test_map_best_flags_a_tie_between_groups(kernel):
+def test_map_best_picks_the_first_of_a_tie_between_groups(kernel):
     # each group's best value is unique, but two selections score 0.24
     m = BddManager()
     a = m.var(m.new_var(0, 0, 0.6, is_query=True))
     b = m.var(m.new_var(1, 0, 0.4, is_query=True))
-    both = (a & b) | (~a & ~b)
-    assert not m.map_best(both)[2]
-    assert m.map_best(a & b)[2]  # 0.24 against 0 for the rest
+    assert m.map_best((a & b) | (~a & ~b))[1] == {0: 0, 1: 0}
+    assert m.map_best(~a & ~b)[1] == {0: 1, 1: 1}
     # a summed-out group splits the tie
     c = m.var(m.new_var(2, 0, 0.5))
-    assert m.map_best((a & b) | (~a & ~b & c))[2]
+    assert m.map_best((~a & ~b) | (a & b & c))[1] == {0: 1, 1: 1}
+    # group 1 sits above group 0; of the two selections scoring 0.25 the
+    # first in group order, not in level order, sets group 0 first
+    m = BddManager()
+    b = m.var(m.new_var(1, 0, 0.5, is_query=True))
+    a = m.var(m.new_var(0, 0, 0.5, is_query=True))
+    log_value, choices = m.map_best((a & ~b) | (~a & b))
+    assert math.isclose(log_value, math.log(0.25), rel_tol=1e-12)
+    assert choices == {0: 0, 1: 1}
 
 
-def test_map_best_flags_a_tie_among_a_groups_remaining_values(kernel):
+def test_map_best_picks_the_first_of_a_groups_remaining_values(kernel):
     # one group with values 0.5, 0.25 and 0.25; ruling out the first leaves
     # two equal maximisers, the first of which is chain position 1
     m = BddManager()
     x0 = m.var(m.new_var(0, 0, 0.5, is_query=True))
     m.new_var(0, 1, 0.5, is_query=True)
-    log_value, choices, unique = m.map_best(~x0)
+    log_value, choices = m.map_best(~x0)
     assert math.isclose(log_value, math.log(0.25), rel_tol=1e-12)
     assert choices == {0: 1}
-    assert not unique
 
 
 def test_map_best_rejects_query_vars_below_others(kernel):

@@ -112,15 +112,22 @@ def test_stats_flag(capsys):
     assert "stat kernel" not in out
 
 
-def test_stats_report_the_tie_recompile(capsys):
-    # the diagnosis MPE has two maximisers; the tie is settled by fixing its
-    # four query groups on the one diagram
+def test_stats_of_a_tied_mpe_print_the_first_pick_and_no_tie_count(capsys):
+    # the diagnosis MPE has two maximisers, disease alone and malfunction
+    # alone; the max-product pass picks the first in index order itself
     code, out, _ = run(capsys, "mpe", DIAGNOSIS, "--stats")
     assert code == 0
-    assert "stat tie_groups: 4" in out
-    code, out, _ = run(capsys, "mpe", COLORS_MPE, "--json")
+    assert out.splitlines()[1:5] == [
+        "rule(0, disease, [disease:0.05, '':0.95], true)",
+        "rule(1, '', [malfunction:0.05, '':0.95], true)",
+        "rule(3, positive, [positive:0.999, '':0.0010000000000000009], disease)",
+        "rule(4, '', [positive:0.0001, '':0.9999], (\\+malfunction,\\+disease))",
+    ]
+    assert "stat bool_vars: 4" in out
+    assert "tie_groups" not in out
+    code, out, _ = run(capsys, "mpe", DIAGNOSIS, "--json")
     assert code == 0
-    assert json.loads(out)["stats"]["tie_groups"] == 0
+    assert "tie_groups" not in json.loads(out)["stats"]
 
 
 def test_dump_ground_goes_to_stderr(capsys):

@@ -388,8 +388,7 @@ def test_post_order_chain_deeper_than_recursion_limit():
 
 def test_max_tasks_put_query_chains_in_post_order(monkeypatch):
     # MPE and MAP create the query chains first and then the rest, each part
-    # in post-order from the evidence atoms; this untied program has no tie
-    # for infer to settle
+    # in post-order from the evidence atoms
     import lpadc.infer
     from lpadc.benchgen import gen_gh
     from lpadc.infer import map_query, mpe
@@ -410,7 +409,6 @@ def test_max_tasks_put_query_chains_in_post_order(monkeypatch):
     first = [ci for ci in order if ci in query_cvs]
     assert first != query_cvs
     results = [mpe(program, gp=gp), map_query(program, query_cvs=query_cvs, gp=gp)]
-    assert [res.stats.tie_groups for res in results] == [0, 0]
     wants = (order, first + [ci for ci in order if ci not in query_cvs])
     assert len(compiled) == len(wants)
     for cp, want in zip(compiled, wants):

@@ -79,11 +79,12 @@ def test_diagnosis_mpe(kernel, ex4):
         (4, ""),
     ]
     gp = ground(program)
-    want, _ = exact_mpe(gp, [parse_literal("positive")])
+    want, argmax = exact_mpe(gp, [parse_literal("positive")])
     assert res.value == pytest.approx(want, abs=1e-12)
-    # disease alone and malfunction alone score alike; the first in index
-    # order, disease, is settled on the one diagram
-    assert res.stats.tie_groups > 0
+    # disease alone and malfunction alone score alike; the pass picks the
+    # first in index order, disease
+    assert len(argmax) == 2
+    assert res.assignment.as_dict() == first_maximiser(gp, argmax)
 
 
 def test_diagnosis_conditional(kernel, ex4):
@@ -211,10 +212,8 @@ def test_json_shape(kernel, ex2):
         "bool_vars",
         "bdd_nodes",
         "fixpoint_iterations",
-        "tie_groups",
         "wall_time_s",
     }
-    assert d["stats"]["tie_groups"] == 0
 
 
 def test_tie_outside_the_evidence_cone_needs_no_recompile(kernel):
@@ -222,7 +221,7 @@ def test_tie_outside_the_evidence_cone_needs_no_recompile(kernel):
     # does not depend on the layout and no chain is created for it
     program = parse_program("y:0.5; z:0.5.\nx:0.3; w:0.7.\nevidence(x).\n")
     res = mpe(program)
-    assert res.stats.tie_groups == 0
+    assert len(exact_mpe(ground(program), list(program.evidence))[1]) == 2
     assert res.value == pytest.approx(0.15, abs=1e-12)
     assert [d["head"] for d in res.assignment.to_rule_dicts()] == ["y", "x"]
     assert (res.stats.choice_vars, res.stats.bool_vars) == (2, 1)
@@ -386,13 +385,12 @@ _MPE_SIZES = [("gh", 13, 100), ("blood", 3, 100), ("blood", 4, 150)]
 def test_post_order_keeps_mpe_diagrams_small(kernel, family, size, max_nodes, tied):
     from lpadc.benchgen import generate
 
-    # the generators' equal probabilities tie every maximiser, which is
-    # settled on the same diagram; redrawn probabilities tie nothing
+    # the generators' equal probabilities tie every maximiser, which the
+    # pass settles on the same diagram; redrawn probabilities tie nothing
     program = generate(family, size, 0)
     if not tied:
         program = untied(program)
     res = mpe(program, node_cap=200_000)
-    assert (res.stats.tie_groups > 0) == tied
     assert res.stats.bdd_nodes <= max_nodes
 
 
@@ -412,10 +410,39 @@ def test_max_tasks_compile_once_also_on_a_tie(kernel, ex4, monkeypatch):
     for program, ev in ((parse_program(ex4), [parse_literal("positive")]),
                         (gen_gh(6, 0), None)):
         query_cvs = range(0, len(ground(program).choice_vars), 2)
-        results = [mpe(program, ev), map_query(program, ev, query_cvs)]
+        mpe(program, ev)
+        map_query(program, ev, query_cvs)
         assert calls == ["mpe", "map"]
-        assert results[0].stats.tie_groups > 0
+        assert len(exact_mpe(ground(program), ev or list(program.evidence))[1]) > 1
         calls.clear()
+
+
+@pytest.mark.parametrize("family,size", [("blood", 4), ("gnb", 320)])
+def test_tied_mpe_takes_one_pass_and_no_new_node(kernel, family, size, monkeypatch):
+    # the generators' equal probabilities tie these MPEs; the pick comes
+    # from the one max-product pass, with no conditioned diagram
+    import lpadc.infer
+    from lpadc.bdd import BddManager
+    from lpadc.benchgen import generate
+
+    managers, live, passes = [], [], []
+    real_query, real_best = lpadc.infer.compile_query, BddManager.map_best
+
+    def query(cp, literals):
+        ref = real_query(cp, literals)
+        managers.append(cp.manager)
+        live.append(cp.manager.live_nodes())
+        return ref
+
+    def best(manager, a):
+        passes.append(a)
+        return real_best(manager, a)
+
+    monkeypatch.setattr(lpadc.infer, "compile_query", query)
+    monkeypatch.setattr(BddManager, "map_best", best)
+    mpe(generate(family, size, 0))
+    assert len(passes) == 1
+    assert [m.live_nodes() for m in managers] == live
 
 
 def test_marginal_grounds_only_what_the_query_reaches():
@@ -570,7 +597,7 @@ def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
     # probabilities from {0.25, 0.5} make tied maximisers common; the answer
     # must be the first oracle maximiser and the same under every creation
     # order
-    settled = 0
+    tied = 0
     for seed in range(300):
         case = random_case(seed, ties=True)
         ev = list(case.evidence)
@@ -588,7 +615,7 @@ def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
             pick = res.assignment.as_dict()
             assert res.value == pytest.approx(want, abs=1e-9), case.src
             assert pick == first_maximiser(case.gp, argmax), (task, case.src)
-            settled += res.stats.tie_groups > 0
+            tied += len(argmax) > 1
             for order in orders if n else ():
                 # MPE is MAP over every choice variable
                 other = map_query(case.program, ev, list(query), gp=case.gp,
@@ -596,7 +623,7 @@ def test_tie_sweep_answers_do_not_depend_on_the_order(kernel):
                 assert other.assignment.as_dict() == pick, (case.src, order)
                 assert math.isclose(other.log_value, res.log_value,
                                     rel_tol=1e-12), (case.src, order)
-    assert settled > 0
+    assert tied > 0
 
 
 def test_tie_in_a_jumped_group_settled_in_index_order(kernel):
@@ -607,10 +634,12 @@ def test_tie_in_a_jumped_group_settled_in_index_order(kernel):
         "a:0.5.\nx:0.75.\ny:0.75.\ne :- a, x.\ne :- \\+a, y.\nevidence(e).\n"
     )
     want = {0: 1, 1: 1, 2: 1}
+    gp = ground(program)
+    argmax = exact_mpe(gp, list(program.evidence))[1]
+    assert len(argmax) > 1 and first_maximiser(gp, argmax) == want
     assert mpe(program).assignment.as_dict() == want
     for order in ([1, 2, 0], [2, 1, 0]):
         res = map_query(program, query_cvs=[0, 1, 2], creation_order=order)
-        assert res.stats.tie_groups > 0
         assert res.assignment.as_dict() == want
 
 
