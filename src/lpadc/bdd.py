@@ -1,28 +1,49 @@
-"""BDD manager facade over the pure Python kernel (lpadc._pybdd).
+"""Reduced ordered BDDs with complement edges and weighted variables.
+
+One class, :class:`BddManager`, holds the node store, the unique and
+computed tables, the pins and the passes over a diagram.  Inside it a
+function is an int ref, ``(node_id << 1) | complement``.  The only terminal
+is the 1-node (id 0), so TRUE is ref 0 and FALSE is ref 1.  The invariant
+that keeps the diagram canonical: a stored 1-child is never complemented;
+when a reduction would produce one, both children are flipped and the
+complement moves to the incoming reference.
+
+Every variable carries a factor applied on the 1-branch and one on the
+0-branch during weighted counting (the order encoding uses (pi, 1 - pi)),
+a group id (the owning choice variable), an index inside the group and a
+query flag.  The count memoizes per node the pair (count of f, count of
+not f), each summed from the children's pairs, so it holds for any weights
+and a complemented edge reads the other half instead of subtracting.
 
 External code holds :class:`BddRef` handles.  Live handles pin their nodes:
 garbage collection (a mark-and-sweep triggered by a node-count threshold)
 only runs between operations and only frees nodes unreachable from pinned
 references.  The manager holds no handle itself, so a manager and its
-diagrams are freed by reference counting once the last handle goes.
-
-The max-product pass for MPE and MAP (:meth:`BddManager.map_best`) lives
-here rather than in the kernel: it reads the kernel's nodes and weighted
-counts.
+diagrams are freed by reference counting once the last handle goes.  The
+public operations take and return handles; the recursions under them call
+only the int-level methods (_and, _mk, _pair), so a wrapper around a public
+name (as perfbench/tracing.py installs) sees one call per operation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from . import _pybdd
-from ._pybdd import NodeLimitError  # re-exported
+TRUE = 0
+FALSE = 1
 
 DEFAULT_NODE_CAP = 1 << 22
 DEFAULT_GC_THRESHOLD = 1 << 20
 
+_MIN_RECURSION = 5000
+
 
 class BddError(Exception):
+    pass
+
+
+class NodeLimitError(Exception):
     pass
 
 
@@ -97,11 +118,11 @@ class BddRef:
 
     @property
     def is_true(self):
-        return self.ref == 0
+        return self.ref == TRUE
 
     @property
     def is_false(self):
-        return self.ref == 1
+        return self.ref == FALSE
 
     @property
     def is_complemented(self):
@@ -115,12 +136,29 @@ class BddRef:
 
 
 class BddManager:
-    def __init__(self, node_cap=DEFAULT_NODE_CAP, gc_threshold=DEFAULT_GC_THRESHOLD):
+    def __init__(self, node_cap=DEFAULT_NODE_CAP):
         if node_cap < 1:
             raise ValueError("node_cap must be at least 1, not %r" % (node_cap,))
-        self._k = _pybdd.Kernel(node_cap)
-        self.gc_threshold = gc_threshold
-        self._pins = {}
+        self.node_cap = node_cap
+        # per node; node 0 is the 1-terminal and its children are unused
+        self._var = [-1]
+        self._lo = [0]
+        self._hi = [0]
+        self._free = []
+        # per variable
+        self._uniq = []  # (lo, hi) -> node id
+        self._w1 = []
+        self._w0 = []
+        self._group = []
+        self._gindex = []
+        self._isq = []
+        self._level_of = []
+        self._var_at = []  # per level: the variable there
+        self._and_cache = {}
+        self._prob_memo = {}
+        self._pins = {}  # node id -> number of live handles
+        if sys.getrecursionlimit() < _MIN_RECURSION:
+            sys.setrecursionlimit(_MIN_RECURSION)
 
     # The terminals are fresh handles rather than stored ones: a stored
     # handle would point back at the manager, and the cycle would keep every
@@ -128,11 +166,11 @@ class BddManager:
 
     @property
     def true(self):
-        return BddRef(self, 0)
+        return BddRef(self, TRUE)
 
     @property
     def false(self):
-        return BddRef(self, 1)
+        return BddRef(self, FALSE)
 
     # ---- pinning / gc ----
 
@@ -149,12 +187,39 @@ class BddManager:
             self._pins[node] = left
 
     def gc(self):
-        """Sweep nodes unreachable from live BddRefs; returns count freed."""
-        return self._k.gc([n << 1 for n in self._pins])
+        """Mark from the nodes of live BddRefs and sweep everything else to
+        the free list.  Slots are reused, never compacted, so surviving refs
+        keep their meaning.  Returns the number of collected nodes."""
+        marked = bytearray(len(self._var))
+        marked[0] = 1
+        stack = list(self._pins)
+        lo, hi = self._lo, self._hi
+        while stack:
+            n = stack.pop()
+            if marked[n]:
+                continue
+            marked[n] = 1
+            stack.append(lo[n] >> 1)
+            stack.append(hi[n] >> 1)
+        collected = 0
+        for tab in self._uniq:
+            dead = [key for key, n in tab.items() if not marked[n]]
+            for key in dead:
+                self._free.append(tab.pop(key))
+                collected += 1
+        if collected:
+            self._clear_caches()
+            # keep allocation order reproducible across identical runs
+            self._free.sort()
+        return collected
 
     def _maybe_gc(self):
-        if self._k.live_nodes() > self.gc_threshold:
-            self.gc()
+        if len(self._var) - len(self._free) - 1 > DEFAULT_GC_THRESHOLD:
+            self.gc()  # the public name: a collection is its own traced step
+
+    def _clear_caches(self):
+        self._and_cache.clear()
+        self._prob_memo.clear()
 
     # ---- variables ----
 
@@ -164,55 +229,141 @@ class BddManager:
         weight multiplies the 1-branch during weighted counting and
         zero_weight (default 1-weight) the 0-branch.
         """
-        if zero_weight is None:
-            zero_weight = 1.0 - weight
-        v = self._k.new_var(weight, zero_weight, group, index, bool(is_query))
+        if not (0.0 < weight <= 1.0):
+            raise ValueError("variable weight %r outside (0,1]" % weight)
+        v = len(self._w1)
+        self._w1.append(weight)
+        self._w0.append(1.0 - weight if zero_weight is None else zero_weight)
+        self._group.append(group)
+        self._gindex.append(index)
+        self._isq.append(bool(is_query))
+        self._level_of.append(len(self._var_at))
+        self._var_at.append(v)
+        self._uniq.append({})
+        limit = 4 * len(self._w1) + 1000
+        if sys.getrecursionlimit() < limit:
+            sys.setrecursionlimit(limit)
         return v
 
     def var(self, var_id):
-        return BddRef(self, self._k.var_ref(var_id))
+        return BddRef(self, self._mk(var_id, FALSE, TRUE))
 
     def nvar(self, var_id):
-        return BddRef(self, self._k.var_ref(var_id) ^ 1)
+        return BddRef(self, self._mk(var_id, FALSE, TRUE) ^ 1)
 
     @property
     def num_vars(self):
-        return self._k.num_vars
+        return len(self._w1)
 
     def var_info(self, var_id):
-        k = self._k
         return BddVarInfo(
             var_id=var_id,
-            level=k.var_level(var_id),
-            group=k.var_group(var_id),
-            index=k.var_index(var_id),
-            weight=k.var_weight(var_id),
-            zero_weight=k.var_zero_weight(var_id),
-            is_query=k.var_is_query(var_id),
+            level=self._level_of[var_id],
+            group=self._group[var_id],
+            index=self._gindex[var_id],
+            weight=self._w1[var_id],
+            zero_weight=self._w0[var_id],
+            is_query=self._isq[var_id],
         )
 
     def level_order(self):
-        return self._k.level_order()
+        return list(self._var_at)
 
     def top_level(self, a):
         """The level of the variable a tests first; num_vars for a constant."""
-        return self._k.top_level(a.ref)
+        n = a.ref >> 1
+        return self._level_of[self._var[n]] if n else len(self._var_at)
 
     # ---- operations ----
 
     def apply_and(self, a, b):
         self._maybe_gc()
-        return BddRef(self, self._k.apply_and(a.ref, b.ref))
+        return BddRef(self, self._and(a.ref, b.ref))
 
     def apply_or(self, a, b):
         self._maybe_gc()
-        return BddRef(self, self._k.apply_or(a.ref, b.ref))
+        return BddRef(self, self._and(a.ref ^ 1, b.ref ^ 1) ^ 1)
 
     def apply_not(self, a):
         return BddRef(self, a.ref ^ 1)
 
+    def _mk(self, v, lo, hi):
+        if lo == hi:
+            return lo
+        comp = hi & 1
+        if comp:
+            lo ^= 1
+            hi ^= 1
+        tab = self._uniq[v]
+        key = (lo, hi)
+        n = tab.get(key)
+        if n is None:
+            if len(self._var) - len(self._free) - 1 >= self.node_cap:
+                raise NodeLimitError(
+                    "node store exceeds the cap of %d" % self.node_cap
+                )
+            if self._free:
+                n = self._free.pop()
+                self._var[n] = v
+                self._lo[n] = lo
+                self._hi[n] = hi
+            else:
+                n = len(self._var)
+                self._var.append(v)
+                self._lo.append(lo)
+                self._hi.append(hi)
+            tab[key] = n
+        return (n << 1) | comp
+
+    def _and(self, a, b):
+        if a == TRUE:
+            return b
+        if b == TRUE:
+            return a
+        if a == FALSE or b == FALSE:
+            return FALSE
+        if a == b:
+            return a
+        if a ^ b == 1:
+            return FALSE
+        if a > b:
+            a, b = b, a
+        hit = self._and_cache.get((a, b))
+        if hit is not None:
+            return hit
+        na, nb = a >> 1, b >> 1
+        la = self._level_of[self._var[na]]
+        lb = self._level_of[self._var[nb]]
+        if la <= lb:
+            v = self._var[na]
+            ca = a & 1
+            a1 = self._hi[na] ^ ca
+            a0 = self._lo[na] ^ ca
+        else:
+            v = self._var[nb]
+            a1 = a0 = a
+        if lb <= la:
+            v = self._var[nb] if lb < la else v
+            cb = b & 1
+            b1 = self._hi[nb] ^ cb
+            b0 = self._lo[nb] ^ cb
+        else:
+            b1 = b0 = b
+        r = self._mk(v, self._and(a0, b0), self._and(a1, b1))
+        self._and_cache[(a, b)] = r
+        return r
+
     def eval(self, a, values):
-        return self._k.eval(a.ref, values)
+        """Truth value under a complete assignment (indexable by var id)."""
+        comp = a.ref & 1
+        n = a.ref >> 1
+        while n != 0:
+            child = self._hi[n] if values[self._var[n]] else self._lo[n]
+            comp ^= child & 1
+            n = child >> 1
+        return comp == 0
+
+    # ---- weighted counting and max-product ----
 
     def prob(self, a):
         """Weighted count of the encoded formula: the sum over satisfying
@@ -221,10 +372,30 @@ class BddManager:
         weights sum to 1 (the order encoding guarantees this).  The count
         never subtracts, so a value near 0 keeps its digits even under a
         complemented root."""
-        return self._k.prob(a.ref)
+        return self._pair(a.ref >> 1)[a.ref & 1]
 
     # the same count under its general name
     wmc = prob
+
+    def _pair(self, n):
+        """(count of the node's function, count of its complement).  Both
+        are sums of products of branch weights, so no complement is ever
+        taken by subtraction and neither loses digits near 1."""
+        if n == 0:
+            return (1.0, 0.0)
+        hit = self._prob_memo.get(n)
+        if hit is not None:
+            return hit
+        lo = self._lo[n]
+        h1, h0 = self._pair(self._hi[n] >> 1)
+        l1, l0 = self._pair(lo >> 1)
+        if lo & 1:
+            l1, l0 = l0, l1
+        v = self._var[n]
+        w1, w0 = self._w1[v], self._w0[v]
+        res = (w1 * h1 + w0 * l1, w1 * h0 + w0 * l0)
+        self._prob_memo[n] = res
+        return res
 
     def map_best(self, a):
         """Max-product pass over the query chains, in log space.
@@ -248,8 +419,8 @@ class BddManager:
         of group g scores max(pi_j skip V(hi), (1 - pi_j) V'(lo)), where
         V'(lo) is m_g[j+1] skip V(lo) when lo leaves g, and skip is the
         product of m_h[0] over the whole query groups h that the edge
-        jumps.  The first non-query node below is a weighted-count
-        boundary.
+        jumps.  The pass walks only the query nodes: the first non-query
+        node of a path is a boundary, scored by its memoized weighted count.
 
         Ties are settled in the same pass.  A group that a path jumps or
         leaves reaches the same remainder with each of its values, so it
@@ -261,19 +432,18 @@ class BddManager:
         group order (a group a path jumps at its first best value) and keeps
         the branch whose selection comes first.
         """
-        k = self._k
-        order = k.level_order()
+        isq, group, order = self._isq, self._group, self._var_at
         groups = []  # in level order: (group id, var ids)
         for v in order:
-            if not k.var_is_query(v):
+            if not isq[v]:
                 break
-            g = k.var_group(v)
+            g = group[v]
             if not groups or groups[-1][0] != g:
                 groups.append((g, []))
             groups[-1][1].append(v)
         n_query = sum(len(ids) for _, ids in groups)
         if len({g for g, _ in groups}) != len(groups) or any(
-            k.var_is_query(v) for v in order[n_query:]
+            isq[v] for v in order[n_query:]
         ):
             raise BddError(
                 "map_best needs each query group's variables adjacent and "
@@ -283,8 +453,8 @@ class BddManager:
         lw1, lw0, lm, best = [], [], [], []  # per group position, by bit
         skip = [0.0]  # skip[i]: sum of log m_h[0] over positions h < i
         for gpos, (_, ids) in enumerate(groups):
-            w1 = [_log(k.var_weight(v)) for v in ids]
-            w0 = [_log(k.var_zero_weight(v)) for v in ids]
+            w1 = [_log(self._w1[v]) for v in ids]
+            w0 = [_log(self._w0[v]) for v in ids]
             m, arg = [0.0] * (len(ids) + 1), list(range(len(ids) + 1))
             for j in reversed(range(len(ids))):
                 where[ids[j]] = (gpos, j)
@@ -299,8 +469,19 @@ class BddManager:
             skip.append(skip[-1] + m[0])
         end = len(groups)
 
-        # query node -> (group position, bit, lo, hi)
-        nodes = {n: where[v] + (lo, hi) for n, v, lo, hi in k.nodes(a.ref) if v in where}
+        # query node -> (group position, bit, lo, hi), collected from the
+        # root down to the first non-query node of each path
+        var, lo_of, hi_of = self._var, self._lo, self._hi
+        nodes = {}
+        stack = [a.ref >> 1]
+        while stack:
+            n = stack.pop()
+            if n in nodes or var[n] not in where:  # the terminal's var is -1
+                continue
+            lo, hi = lo_of[n], hi_of[n]
+            nodes[n] = where[var[n]] + (lo, hi)
+            stack += (lo >> 1, hi >> 1)
+        pair = self._pair
         val, take_hi = {}, {}  # per complement: best, whether the 1-branch wins
 
         def child(ref, comp):
@@ -309,7 +490,7 @@ class BddManager:
             n = ref >> 1
             if n in nodes:
                 return nodes[n][0], val[n][comp]
-            return end, _log(k.prob((n << 1) | comp))
+            return end, _log(pair(n)[comp])
 
         # the pick of a group a path jumps: every value reaches the same
         # remainder, so its first most probable one
@@ -356,28 +537,90 @@ class BddManager:
         rpos, log_value = child(a.ref, 0)
         return log_value + skip[rpos], walk(a.ref, 0, top)
 
+    # ---- reordering ----
     # No inference path reorders.  Kept while the benchmark's tracer
     # (perfbench/tracing.py) patches reorder_groups_front by name.
 
-    def reorder_groups_front(self, groups):
-        self._k.reorder_groups_front(set(groups))
-
     def swap_levels(self, level):
-        self._k.swap_levels(level)
+        """Exchange the variables at level and level+1 in place.
+
+        Nodes keep their ids (external references stay valid); only nodes of
+        the upper variable that reach the lower one are rewritten.
+        """
+        x = self._var_at[level]
+        y = self._var_at[level + 1]
+        var, lo, hi = self._var, self._lo, self._hi
+        xtab = self._uniq[x]
+        interacting = [
+            n
+            for n in xtab.values()
+            if var[lo[n] >> 1] == y or var[hi[n] >> 1] == y
+        ]
+        for n in interacting:
+            del xtab[(lo[n], hi[n])]
+        ytab = self._uniq[y]
+        for n in interacting:
+            h = hi[n]
+            l = lo[n]
+            hn = h >> 1
+            if var[hn] == y:
+                f11, f10 = hi[hn], lo[hn]
+            else:
+                f11 = f10 = h
+            ln = l >> 1
+            lc = l & 1
+            if var[ln] == y:
+                f01, f00 = hi[ln] ^ lc, lo[ln] ^ lc
+            else:
+                f01 = f00 = l
+            g1 = self._mk(x, f01, f11)
+            g0 = self._mk(x, f00, f10)
+            # f11 is a stored 1-child, hence regular, so g1 is regular and
+            # the relabeled node needs no complement fixup
+            var[n] = y
+            lo[n] = g0
+            hi[n] = g1
+            ytab[(g0, g1)] = n
+        self._var_at[level] = y
+        self._var_at[level + 1] = x
+        self._level_of[x] = level + 1
+        self._level_of[y] = level
+        self._clear_caches()
+
+    def reorder_groups_front(self, groups):
+        """Move all variables of the given groups to the top levels, keeping
+        relative order stable inside both partitions."""
+        groups = set(groups)
+        order = list(self._var_at)
+        target = [v for v in order if self._group[v] in groups]
+        target += [v for v in order if self._group[v] not in groups]
+        for tpos, v in enumerate(target):
+            cur = self._level_of[v]
+            while cur > tpos:
+                self.swap_levels(cur - 1)
+                cur -= 1
 
     # ---- inspection ----
 
     def live_nodes(self):
-        return self._k.live_nodes()
-
-    def node_count(self, a):
-        return self._k.node_count(a.ref)
+        return len(self._var) - len(self._free) - 1
 
     def nodes(self, a):
-        return list(self._k.nodes(a.ref))
+        """The internal nodes reachable from a, as (id, var, lo, hi)."""
+        var, lo, hi = self._var, self._lo, self._hi
+        out, seen, stack = [], {0}, [a.ref >> 1]
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            out.append((n, var[n], lo[n], hi[n]))
+            stack.append(lo[n] >> 1)
+            stack.append(hi[n] >> 1)
+        return out
 
-    def support(self, a):
-        return list(self._k.support(a.ref))
+    def node_count(self, a):
+        return len(self.nodes(a))
 
     def var_name(self, var_id):
         info = self.var_info(var_id)
@@ -395,10 +638,11 @@ class BddManager:
             '  one [shape=box, label="1"];',
             '  entry [shape=point, label=""];',
         ]
-        nodes = sorted(self.nodes(a), key=lambda t: self._k.var_level(t[1]))
+        level_of = self._level_of
+        nodes = sorted(self.nodes(a), key=lambda t: level_of[t[1]])
         by_level = {}
         for n, v, lo, hi in nodes:
-            by_level.setdefault(self._k.var_level(v), []).append(n)
+            by_level.setdefault(level_of[v], []).append(n)
         for n, v, lo, hi in nodes:
             lines.append('  n%d [label="%s"];' % (n, var_name(v)))
         root_style = "dotted" if a.ref & 1 else "solid"

@@ -28,7 +28,8 @@ from .parser import parse_program
 
 BENCH_FAMILIES = ("graph", "gh", "gnb", "blood")
 BENCH_TASKS = ("prob", "mpe", "map")
-CSV_FIELDS = ("family", "size", "seed", "task", "fraction", "time_s", "value", "status")
+CSV_FIELDS = ("family", "size", "seed", "task", "fraction", "time_s", "value", "log_value",
+              "status")
 # A child that exited cleanly has already flushed its reply into the pipe.
 REPLY_WAIT_S = 1.0
 
@@ -69,9 +70,10 @@ def check_limits(timeout, node_cap, names=("timeout", "node_cap")):
 
 
 class BenchRow:
-    __slots__ = ("family", "size", "seed", "task", "fraction", "time_s", "value", "status")
+    __slots__ = ("family", "size", "seed", "task", "fraction", "time_s", "value", "log_value",
+                 "status")
 
-    def __init__(self, family, size, seed, task, fraction, time_s, value, status):
+    def __init__(self, family, size, seed, task, fraction, time_s, value, log_value, status):
         self.family = family
         self.size = size
         self.seed = seed
@@ -79,6 +81,9 @@ class BenchRow:
         self.fraction = fraction  # float or None
         self.time_s = time_s
         self.value = value  # float or None
+        # natural log of the answer, None with value; finite where an MPE's
+        # value underflows to 0.0
+        self.log_value = log_value
         self.status = status  # ok | timeout | memcap | crash | error
 
     def to_csv_dict(self):
@@ -90,6 +95,7 @@ class BenchRow:
             "fraction": "" if self.fraction is None else repr(self.fraction),
             "time_s": "%.6f" % self.time_s,
             "value": "" if self.value is None else repr(self.value),
+            "log_value": "" if self.log_value is None else repr(self.log_value),
             "status": self.status,
         }
 
@@ -229,7 +235,8 @@ def generate(family, size, seed):
 
 
 def _run_task(spec):
-    """Generate and solve one instance as the API does; returns the value.
+    """Generate and solve one instance as the API does; returns the value
+    and its log.
     A MAP run queries a seeded random ceil(fraction * n) of the n choice
     variables."""
     program = generate(spec.family, spec.size, spec.seed)
@@ -244,16 +251,16 @@ def _run_task(spec):
         n = len(gp.choice_vars)
         query_cvs = Random(spec.seed).sample(range(n), math.ceil(spec.map_fraction * n))
         result = map_query(program, query_cvs=query_cvs, gp=gp, **kw)
-    return result.value
+    return result.value, result.log_value
 
 
 def _child(spec, queue):
     try:
         queue.put(("ok", _run_task(spec)))
     except NodeLimitError:
-        queue.put(("memcap", None))
+        queue.put(("memcap", (None, None)))
     except (InferError, Exception) as exc:  # noqa: BLE001 - reported in the row
-        queue.put(("error: %s" % exc, None))
+        queue.put(("error: %s" % exc, (None, None)))
 
 
 def run_bench(spec):
@@ -262,14 +269,14 @@ def run_bench(spec):
     dies without a reply (a signal, the OOM killer, a hard exit) is a
     crash."""
     start = time.perf_counter()
+    answer = (None, None)  # (value, log_value)
     if spec.timeout is None:
         try:
-            value = _run_task(spec)
-            status = "ok"
+            answer, status = _run_task(spec), "ok"
         except NodeLimitError:
-            value, status = None, "memcap"
+            status = "memcap"
         except Exception as exc:  # noqa: BLE001
-            value, status = None, "error: %s" % exc
+            status = "error: %s" % exc
     else:
         queue = multiprocessing.Queue()
         proc = multiprocessing.Process(target=_child, args=(spec, queue))
@@ -278,14 +285,14 @@ def run_bench(spec):
         if proc.is_alive():
             proc.terminate()
             proc.join()
-            status, value = "timeout", None
+            status = "timeout"
         elif proc.exitcode != 0:
-            status, value = "crash", None
+            status = "crash"
         else:
             try:
-                status, value = queue.get(timeout=REPLY_WAIT_S)
+                status, answer = queue.get(timeout=REPLY_WAIT_S)
             except queue_module.Empty:
-                status, value = "crash", None
+                status = "crash"
     elapsed = time.perf_counter() - start
     return BenchRow(
         family=spec.family,
@@ -294,7 +301,8 @@ def run_bench(spec):
         task=spec.task,
         fraction=spec.map_fraction,
         time_s=elapsed,
-        value=value,
+        value=answer[0],
+        log_value=answer[1],
         status=status,
     )
 

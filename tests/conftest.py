@@ -34,9 +34,9 @@ map_query positive:0.0001 :- \\+(malfunction), \\+(disease).
 
 @pytest.fixture(params=["py"])
 def kernel(request):
-    """The name of the one BDD kernel.  The parameter only keeps the ids
-    recorded for the tests that take this fixture, such as
-    test_prob_matches_brute_force[py]."""
+    """Only keeps the recorded ids of the tests that take this fixture,
+    such as test_prob_matches_brute_force[py].  lpadc has one BDD class
+    (lpadc.bdd.BddManager), and no test reads the value."""
     return request.param
 
 

@@ -228,11 +228,21 @@ def test_run_bench_tied_blood_mpe_fits_the_cap():
     assert row.value > 0.0
 
 
+def test_run_bench_keeps_the_log_of_an_underflowing_mpe():
+    # the gnb MPE probability is 2^-(n+1), below the smallest float from
+    # n = 1,074 on; the row keeps its log
+    row = run_bench(BenchSpec("gnb", 1280, 0, "mpe"))
+    assert row.status == "ok"
+    assert row.value == 0.0
+    assert row.log_value == pytest.approx(-1281 * math.log(2), rel=1e-12)
+    assert float(row.to_csv_dict()["log_value"]) == row.log_value
+
+
 def test_run_bench_memcap():
     # graph 20 fits in 16 nodes under the post-order; graph 40 does not
     row = run_bench(BenchSpec("graph", 40, 0, "prob", node_cap=16))
     assert row.status == "memcap"
-    assert row.value is None
+    assert row.value is None and row.log_value is None
 
 
 def test_run_bench_timeout():

@@ -476,7 +476,9 @@ def test_tracer_patch_points_exist():
     # perfbench/tracing.py wraps grounder.ground, GroundProgram.strata and
     # BddManager.reorder_groups_front by name and reads the program the
     # compiler used from its last ground call; perfbench/worker.py reports
-    # bdd.default_kernel()
+    # bdd.default_kernel().  A BDD operation or count must not call another
+    # traced BddManager method, or the tracer would count each recursive
+    # step as an operation.
     code = (
         "import sys; sys.path.insert(0, 'perfbench')\n"
         "from tracing import Tracer\n"
@@ -495,6 +497,10 @@ def test_tracer_patch_points_exist():
         "    assert {'grounder.ground', 'grounder.strata'} <= names, (task, names)\n"
         "    gp = tracer.last_ground\n"
         "    assert gp is not None and len(gp.choice_vars) == res.stats.choice_vars, task\n"
+        "    assert {'bdd.apply', 'bdd.dp'} <= names, (task, names)\n"
+        "    for row in tracer.spans:\n"
+        "        parent = tracer.spans[row[3]][0] if row[3] >= 0 else None\n"
+        "        assert row[0] not in ('bdd.apply', 'bdd.dp') or parent != row[0], (task, row)\n"
         "print('ok')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
