@@ -124,10 +124,6 @@ class BddRef:
     def is_false(self):
         return self.ref == FALSE
 
-    @property
-    def is_complemented(self):
-        return bool(self.ref & 1)
-
     def node_count(self):
         return self.manager.node_count(self)
 

@@ -33,13 +33,13 @@ def _read_program(args):
     except OSError as exc:
         raise ParseError(str(exc))
     program = parse_program(text, filename=args.program)
-    infer.check_program(program)
-    for warning in program.warnings:
-        print("warning: %s" % warning, file=sys.stderr)
     if getattr(args, "evidence", None):
         extra = tuple(parse_literal(text) for text in args.evidence)
         program = Program(program.clauses, program.evidence + extra, program.queries,
                           program.warnings)
+    infer.check_program(program)
+    for warning in program.warnings:
+        print("warning: %s" % warning, file=sys.stderr)
     return program
 
 
@@ -111,7 +111,10 @@ def _oracle_result(args):
     if args.task == "prob":
         query = [Literal(_query_atom(args, program))]
         if evidence:
-            value = oracle.exact_cond_prob(gp, query, evidence)
+            try:
+                value = oracle.exact_cond_prob(gp, query, evidence)
+            except ZeroDivisionError:
+                raise infer.InferError("evidence has probability zero") from None
         else:
             value = oracle.exact_prob(gp, query)
         return value, None
@@ -122,7 +125,9 @@ def _oracle_result(args):
         if not query_cvs:
             raise CompileError("the map task needs map_query clauses")
         value, sels = oracle.exact_map(gp, evidence, query_cvs)
-    best = oracle.first_maximiser(gp, sels)
+    if not sels:
+        raise infer.InferError("evidence has probability zero")
+    best = oracle.first_maximiser(sels)
     entries = tuple((gp.choice_vars[ci], k) for ci, k in sorted(best.items()))
     return value, Assignment(entries)
 

@@ -1,12 +1,13 @@
 """Compilation of ground programs to BDDs.
 
 Every choice variable, for every task, becomes a chain of Boolean variables
-under the order encoding: n values map to n-1 Booleans; the value at chain
-position k is the path "bits 0..k-1 false, bit k true" and the last value is
-all-false.  Explicit heads come first in the chain and the null head, if
-any, last.  Weights are conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on
-the 1-branch and 1 - pi_k on the 0-branch, so each variable's two weights
-sum to 1 and weighted counting sums each value exactly once.
+under the order encoding: n values map to n-1 Booleans; value k sits at
+chain position k, the path "bits 0..k-1 false, bit k true", and the last
+value is all-false.  Values are numbered as ChoiceVariable stores them: the
+explicit heads as written, then the null head, if any.  Weights are
+conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on the 1-branch and 1 - pi_k
+on the 0-branch, so each variable's two weights sum to 1 and weighted
+counting sums each value exactly once.
 
 Chains are created in the variable order of the diagram.  By default they
 follow post_order from the atoms the caller is about to compile: a
@@ -52,7 +53,7 @@ class Encoding:
     Chains are created for the variables creation_order lists, the query
     choice variables' first and then the rest, each part in the relative
     order of creation_order; compile_program passes the post-order of its
-    root atoms.
+    root atoms.  Value k of a choice variable is position k of its chain.
     """
 
     def __init__(self, manager, gp, query_cvs, creation_order):
@@ -71,7 +72,7 @@ class Encoding:
         ids = []
         denom = 1.0
         for i in range(cv.n_values - 1):
-            w = cv.probs[self.value_at(ci, i)] / denom
+            w = cv.probs[i] / denom
             ids.append(
                 self.manager.new_var(group=ci, index=i, weight=w, is_query=is_query)
             )
@@ -80,19 +81,6 @@ class Encoding:
 
     def group_vars(self, ci):
         return self.var_ids[ci]
-
-    def _chain_position(self, ci, k):
-        cv = self.gp.choice_vars[ci]
-        if cv.has_null:
-            return len(cv.probs) - 1 if k == 0 else k - 1
-        return k
-
-    def value_at(self, ci, pos):
-        """Selection index of the value at chain position pos."""
-        cv = self.gp.choice_vars[ci]
-        if cv.has_null:
-            return 0 if pos == len(cv.probs) - 1 else pos + 1
-        return pos
 
     def value_bdd(self, ci, k):
         """BDD for "choice variable ci selects value k"."""
@@ -104,12 +92,11 @@ class Encoding:
         ids = self.var_ids[ci]
         if ids is None:
             raise CompileError("choice variable %d has no chain" % ci)
-        pos = self._chain_position(ci, k)
         out = m.true
-        for i in range(min(pos, len(ids))):
+        for i in range(k):
             out = out & m.nvar(ids[i])
-        if pos < len(ids):
-            out = out & m.var(ids[pos])
+        if k < len(ids):
+            out = out & m.var(ids[k])
         self._value_cache[key] = out
         return out
 
@@ -181,7 +168,6 @@ def compile_program(
     task="prob",
     query_cvs=None,
     node_cap=None,
-    manager=None,
     creation_order=None,
     roots=(),
 ):
@@ -210,11 +196,7 @@ def compile_program(
     bad = [ci for ci in query if not (0 <= ci < n)]
     if bad:
         raise CompileError("query choice variables out of range: %r" % bad)
-    if manager is None:
-        kwargs = {}
-        if node_cap is not None:
-            kwargs["node_cap"] = node_cap
-        manager = BddManager(**kwargs)
+    manager = BddManager() if node_cap is None else BddManager(node_cap)
     if creation_order is None:
         creation_order = post_order(gp, roots)
     encoding = Encoding(manager, gp, query, creation_order)
@@ -267,7 +249,7 @@ def _ensure_atoms(cp, atoms):
                     ops = [~formula_of(lit.atom) if lit.negated else formula_of(lit.atom)
                            for lit in gc.body]
                     if gc.cv_index is not None:
-                        ops.insert(0, cp.encoding.value_bdd(gc.cv_index, gc.value_index(pos)))
+                        ops.insert(0, cp.encoding.value_bdd(gc.cv_index, pos))
                     # deepest first, so each conjunction adds levels above the term
                     ops.sort(key=m.top_level, reverse=True)
                     term = ops[0] if ops else m.true

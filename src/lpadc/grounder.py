@@ -71,7 +71,7 @@ from bisect import bisect_left
 from itertools import groupby
 from operator import itemgetter
 
-from .model import NULL, AnnotatedClause, Atom, ChoiceVariable, Literal, Var
+from .model import AnnotatedClause, Atom, ChoiceVariable, Literal, Var, implicit_null
 
 
 class GroundingError(Exception):
@@ -98,10 +98,6 @@ class GroundClause:
     @property
     def has_null(self):
         return self.null_prob > 0.0
-
-    def value_index(self, head_pos):
-        """Selection index of explicit head number head_pos (authored order)."""
-        return head_pos + 1 if self.has_null else head_pos
 
 
 class Strata:
@@ -504,19 +500,15 @@ def _ground_program(program, instances, atoms, demand=None, choices=True):
         for gid, (heads, body) in enumerate(insts):
             cv_index = None
             if not deterministic:
-                ground_heads = tuple(a for a, _ in heads)
-                probs = tuple(p for _, p in heads)
-                if null_prob > 0.0:
-                    ground_heads = (NULL,) + ground_heads
-                    probs = (null_prob,) + probs
+                values = implicit_null(heads)
                 cv_index = len(choice_vars)
                 choice_vars.append(
                     ChoiceVariable(
                         index=cv_index,
                         clause_id=cl.clause_id,
                         grounding_id=gid,
-                        probs=probs,
-                        ground_heads=ground_heads,
+                        probs=tuple(p for _, p in values),
+                        ground_heads=tuple(a for a, _ in values),
                         ground_body=body,
                         is_query=cl.is_query,
                     )

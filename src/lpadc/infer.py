@@ -12,11 +12,11 @@ compiled formula depends on a chain only through the value it selects, so a
 path enters a chain at its first bit and leaves it after a 1-branch.
 
 Of several equal maximisers the first is reported: compare the choice
-variables in index order and each one's values in chain order (the explicit
-heads as written, the null head last).  The same pass picks it: where a
-node's two branches score alike it keeps the branch whose best selection
-comes first.  Value, log_value and selection therefore do not depend on the
-variable order.
+variables in index order and each one's values in index order, which is
+chain order (the explicit heads as written, the null head last).  The same
+pass picks it: where a node's two branches score alike it keeps the branch
+whose best selection comes first.  Value, log_value and selection therefore
+do not depend on the variable order.
 
 Maximization reports the joint probability P(x, e) by default; pass
 normalize=True for P(x | e).  The pass runs in log space and the result
@@ -177,16 +177,15 @@ def prob_result(program, query, evidence=None, node_cap=None, gp=None):
 
 
 def decode(choices, encoding, query_cvs):
-    """Turn map_best's chain positions ({choice variable: position}) into
-    one head selection per query choice variable; variables without a chain
-    take their most probable head."""
+    """Turn map_best's picks ({choice variable: chain position, which is the
+    selection}) into one head selection per query choice variable; variables
+    without a chain take their most probable head."""
     gp = encoding.gp
     entries = []
     for ci in sorted(query_cvs):
         cv = gp.choice_vars[ci]
-        pos = choices.get(ci)
-        k = cv.max_prob_value() if pos is None else encoding.value_at(ci, pos)
-        entries.append((cv, k))
+        k = choices.get(ci)
+        entries.append((cv, cv.max_prob_value() if k is None else k))
     entries.sort(key=lambda e: (e[0].clause_id, e[0].grounding_id))
     return Assignment(tuple(entries))
 

@@ -118,9 +118,8 @@ class AnnotatedClause(ValueRecord):
 
     ``heads`` keeps the authored order and never contains zero-probability
     entries.  When the probabilities sum to less than 1 the clause has an
-    implicit null head whose selection index is 0 (explicit heads are then
-    indexed 1..n); without a null head the explicit heads are indexed 0..n-1
-    value-wise via :meth:`values`.
+    implicit null head.  :meth:`values` numbers the selection values: the
+    explicit heads 0..n-1 as written, then the null head, if any, as n.
     """
 
     __slots__ = _compare = ("clause_id", "heads", "body", "is_query")
@@ -145,10 +144,8 @@ class AnnotatedClause(ValueRecord):
         return self.null_prob > 0.0
 
     def values(self):
-        """Selection values in index order: null (if any) first."""
-        if self.has_null:
-            return ((NULL, self.null_prob),) + tuple(self.heads)
-        return tuple(self.heads)
+        """Selection values in index order: null (if any) last."""
+        return implicit_null(self.heads)
 
     @property
     def n_values(self):
@@ -168,16 +165,17 @@ class AnnotatedClause(ValueRecord):
 
 
 def implicit_null(heads):
-    """Prepend the implicit null head when the explicit mass is short of 1.
+    """Append the implicit null head when the explicit mass is short of 1.
 
-    Returns the value list as used for selection indices.  Raises ValueError
-    when the probabilities exceed 1 beyond tolerance.
+    Returns the value list as used for selection indices; the one place that
+    puts the null head in it.  Raises ValueError when the probabilities
+    exceed 1 beyond tolerance.
     """
     s = sum(p for _, p in heads)
     if s > 1.0 + HEAD_SUM_TOL:
         raise ValueError("head probabilities sum to %r > 1" % s)
     if s < 1.0 - HEAD_SUM_TOL:
-        return ((NULL, 1.0 - s),) + tuple(heads)
+        return tuple(heads) + ((NULL, 1.0 - s),)
     return tuple(heads)
 
 
@@ -219,8 +217,9 @@ class Program(ValueRecord):
 class ChoiceVariable(ValueRecord):
     """One ground instance of a probabilistic clause.
 
-    ``probs``/``ground_heads`` are aligned by selection index: entry 0 is the
-    null head when the clause has one.
+    ``probs``/``ground_heads`` are aligned by selection index, the order of
+    the variable's chain: the explicit heads as written, then the null head
+    when the clause has one.
     """
 
     __slots__ = _compare = ("index", "clause_id", "grounding_id", "probs",
@@ -242,20 +241,12 @@ class ChoiceVariable(ValueRecord):
 
     @property
     def has_null(self):
-        return self.ground_heads[0].is_null
-
-    def explicit_heads(self):
-        """(Atom, prob) pairs in authored order, null excluded."""
-        if self.has_null:
-            return tuple(zip(self.ground_heads[1:], self.probs[1:]))
-        return tuple(zip(self.ground_heads, self.probs))
+        return self.ground_heads[-1].is_null
 
     def max_prob_value(self):
-        """Selection index of the most probable head, of equal ones the first
-        in chain order: the explicit heads as written, the null head last."""
-        n = len(self.probs)
-        chain = range(1, n + 1) if self.has_null else range(n)
-        return max((k % n for k in chain), key=self.probs.__getitem__)
+        """Selection index of the most probable head, of equal ones the
+        first."""
+        return max(range(len(self.probs)), key=self.probs.__getitem__)
 
 
 class Assignment(ValueRecord):
@@ -270,21 +261,17 @@ class Assignment(ValueRecord):
         return {cv.index: k for cv, k in self.entries}
 
     def to_rule_dicts(self):
-        """Serialize as rule/4 records: clause id, selected head, head list,
-        instantiated body.  The null head renders as '' and is listed last
-        regardless of its selection index."""
+        """Serialize as rule/4 records: clause id, selected head, head list
+        in selection order, instantiated body.  The null head renders as
+        ''."""
         out = []
         for cv, k in self.entries:
-            heads = [
-                {"atom": str(a), "prob": p} for a, p in cv.explicit_heads()
-            ]
-            if cv.has_null:
-                heads.append({"atom": "", "prob": cv.probs[0]})
-            sel = cv.ground_heads[k]
+            heads = [{"atom": _head_str(a), "prob": p}
+                     for a, p in zip(cv.ground_heads, cv.probs)]
             out.append(
                 {
                     "clause": cv.clause_id,
-                    "head": "" if sel.is_null else str(sel),
+                    "head": _head_str(cv.ground_heads[k]),
                     "heads": heads,
                     "body": body_str(cv.ground_body),
                 }
@@ -303,6 +290,10 @@ class Assignment(ValueRecord):
                 "rule(%d, %s, [%s], %s)" % (d["clause"], head, heads, d["body"])
             )
         return lines
+
+
+def _head_str(atom):
+    return "" if atom.is_null else str(atom)
 
 
 def body_str(body):

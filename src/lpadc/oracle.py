@@ -22,7 +22,7 @@ class World:
     __slots__ = ("selection", "probability", "model")
 
     def __init__(self, selection, probability, model):
-        self.selection = selection  # one value index per choice variable
+        self.selection = selection  # a value index per choice variable, chain order
         self.probability = probability
         self.model = model  # frozenset of the ground atoms true in this world
 
@@ -36,7 +36,7 @@ class World:
 def _prepared_rules(gp):
     """Rules grouped by stratum: (head, positives, negatives, guard).
 
-    guard is None for deterministic instances, else (cv_index, value_index):
+    guard is None for deterministic instances, else (cv_index, head position):
     the rule fires only when that choice variable selects that head.
     """
     strata = gp.strata()
@@ -45,7 +45,7 @@ def _prepared_rules(gp):
         for pos, (head, _) in enumerate(gc.heads):
             guard = None
             if gc.cv_index is not None:
-                guard = (gc.cv_index, gc.value_index(pos))
+                guard = (gc.cv_index, pos)
             positives = tuple(l.atom for l in gc.body if not l.negated)
             negatives = tuple(l.atom for l in gc.body if l.negated)
             per_level[strata.index[head]].append((head, positives, negatives, guard))
@@ -144,15 +144,11 @@ def exact_mpe(gp, evidence_literals, cap=ORACLE_WORLD_CAP, rel_tol=1e-9):
     )
 
 
-def first_maximiser(gp, argmax):
+def first_maximiser(argmax):
     """The maximiser to report among ties: compare the choice variables in
-    index order and each one's values in chain order, the explicit heads as
-    written and the null head (selection 0) last."""
-    def chain_positions(sel):
-        cvs = gp.choice_vars
-        return [(k - 1) % cvs[ci].n_values if cvs[ci].has_null else k
-                for ci, k in sorted(sel.items())]
-    return min(argmax, key=chain_positions)
+    index order and each one's values in index order, the explicit heads as
+    written and the null head last."""
+    return min(argmax, key=lambda sel: sorted(sel.items()))
 
 
 def score_assignment(gp, evidence_literals, partial, cap=ORACLE_WORLD_CAP):

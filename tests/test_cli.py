@@ -290,10 +290,14 @@ def test_missing_file_is_exit_1(capsys):
 
 
 def test_impossible_evidence_is_exit_1(capsys):
-    code, _, err = run(capsys, "prob", COLORS, "--query", "ev",
-                       "--evidence", "blue(b1)", "--evidence", r"\+pick(b1)")
-    assert code == 1
-    assert "probability zero" in err
+    for argv in (("prob", COLORS, "--query", "ev",
+                  "--evidence", "blue(b1)", "--evidence", r"\+pick(b1)"),
+                 ("oracle", "prob", COLORS, "--evidence", "nosuch"),
+                 ("oracle", "mpe", COLORS_MPE, "--evidence", "nosuch"),
+                 ("oracle", "map", COLORS_MAP, "--evidence", "nosuch")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "error: evidence has probability zero" in err, argv
 
 
 def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
@@ -304,6 +308,13 @@ def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert "unsafe variables X" in err and "unbound" not in err, argv
+    # extra --evidence literals go through the same validator
+    for argv in (("prob", COLORS, "--evidence", "pick(X)"),
+                 ("oracle", "prob", COLORS, "--evidence", "pick(X)"),
+                 ("dot", COLORS, "--evidence", "pick(X)")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "evidence literal pick(X) is not ground" in err, argv
 
 
 def test_node_cap_is_exit_2(capsys, tmp_path):

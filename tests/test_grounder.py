@@ -15,7 +15,7 @@ from lpadc.grounder import (
     format_ground,
     ground,
 )
-from lpadc.model import Atom, Literal, Var
+from lpadc.model import NULL, Atom, Literal, Var
 from lpadc.parser import parse_atom, parse_program
 
 from randprog import backward_cone, random_demand, random_first_order_src
@@ -58,7 +58,7 @@ def test_join_matches_substitution_enumeration():
         for x, y in itertools.product("abc", repeat=2)
         if (x, y) in facts_e and y in facts_f
     }
-    got = {cv.ground_heads[-1].args for cv in gp.choice_vars}
+    got = {cv.ground_heads[0].args for cv in gp.choice_vars}
     assert got == expect
 
 
@@ -79,12 +79,17 @@ def test_duplicate_instances_merged():
     assert sum(1 for cv in gp.choice_vars if cv.clause_id == 2) == 1
 
 
-def test_value_index_shifts_for_null():
+def test_null_head_is_the_last_value():
     gp = gp_of("a:0.3; b:0.2.\nc:0.6; d:0.4.")
-    with_null = gp.ground_clauses[0]
-    without = gp.ground_clauses[1]
-    assert with_null.value_index(0) == 1
-    assert without.value_index(0) == 0
+    with_null, without = gp.choice_vars
+    assert with_null.ground_heads[-1] is NULL
+    assert with_null.probs[-1] == pytest.approx(0.5)
+    assert NULL not in without.ground_heads
+    # value k is explicit head k of the ground clause
+    for cv in (with_null, without):
+        gc = next(gc for gc in gp.ground_clauses if gc.cv_index == cv.index)
+        for k, (atom, p) in enumerate(gc.heads):
+            assert (cv.ground_heads[k], cv.probs[k]) == (atom, p)
 
 
 def test_rules_by_head_links_atoms_to_instances():

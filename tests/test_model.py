@@ -42,8 +42,8 @@ def test_clause_null_head_indexing():
     assert cl.has_null
     assert math.isclose(cl.null_prob, 0.5)
     values = cl.values()
-    assert values[0][0] is NULL
-    assert [str(a) for a, _ in values] == ["null", "a", "b"]
+    assert values[-1][0] is NULL
+    assert [str(a) for a, _ in values] == ["a", "b", "null"]
     assert cl.n_values == 3
 
 
@@ -90,10 +90,10 @@ def _cv(probs, heads, clause_id=0, body=()):
 
 
 def test_choice_variable_null_and_max():
-    cv = _cv([0.5, 0.3, 0.2], [NULL, Atom("a"), Atom("b")])
+    cv = _cv([0.3, 0.2, 0.5], [Atom("a"), Atom("b"), NULL])
     assert cv.has_null
-    assert cv.max_prob_value() == 0
-    assert [str(a) for a, _ in cv.explicit_heads()] == ["a", "b"]
+    assert cv.max_prob_value() == 2
+    assert [str(a) for a in cv.ground_heads] == ["a", "b", "null"]
     cv2 = _cv([0.4, 0.6], [Atom("a"), Atom("b")])
     assert not cv2.has_null
     assert cv2.max_prob_value() == 1
@@ -101,19 +101,19 @@ def test_choice_variable_null_and_max():
 
 def test_max_prob_value_breaks_ties_in_chain_order():
     # the explicit heads as written, the null head last
-    assert _cv([0.5, 0.5], [NULL, Atom("a")]).max_prob_value() == 1
-    assert _cv([0.25, 0.25, 0.5], [NULL, Atom("a"), Atom("b")]).max_prob_value() == 2
-    assert _cv([0.4, 0.2, 0.4], [NULL, Atom("a"), Atom("b")]).max_prob_value() == 2
+    assert _cv([0.5, 0.5], [Atom("a"), NULL]).max_prob_value() == 0
+    assert _cv([0.25, 0.5, 0.25], [Atom("a"), Atom("b"), NULL]).max_prob_value() == 1
+    assert _cv([0.2, 0.4, 0.4], [Atom("a"), Atom("b"), NULL]).max_prob_value() == 1
     assert _cv([0.5, 0.5], [Atom("a"), Atom("b")]).max_prob_value() == 0
 
 
 def test_assignment_renders_null_last():
-    cv = _cv([0.95, 0.05], [NULL, Atom("malfunction")], clause_id=1)
-    line = Assignment(((cv, 0),)).to_rule_lines()[0]
+    cv = _cv([0.05, 0.95], [Atom("malfunction"), NULL], clause_id=1)
+    line = Assignment(((cv, 1),)).to_rule_lines()[0]
     assert line == "rule(1, '', [malfunction:0.05, '':0.95], true)"
-    d = Assignment(((cv, 0),)).to_rule_dicts()[0]
+    d = Assignment(((cv, 1),)).to_rule_dicts()[0]
     assert d["head"] == ""
-    assert d["heads"][-1]["atom"] == ""  # null listed last despite index 0
+    assert d["heads"][-1]["atom"] == ""  # null listed last, as stored
 
 
 def test_validate_clean_program():

@@ -35,8 +35,8 @@ def test_world_probabilities_sum_to_one(ex1):
 def test_world_models_respect_selection():
     gp = gp_of("a:0.4.\nb :- a.")
     models = {w.selection: w.model for w in enumerate_worlds(gp)}
-    assert parse_atom("b") in models[(1,)]
-    assert parse_atom("b") not in models[(0,)]
+    assert parse_atom("b") in models[(0,)]
+    assert parse_atom("b") not in models[(1,)]
 
 
 def test_exact_prob_on_example(ex1):
@@ -66,8 +66,9 @@ def test_stratified_negation_in_worlds(ex4):
     gp = gp_of(ex4)
     assert count_worlds(gp) == 16
     # world with no disease, no malfunction, no spontaneous positive
+    all_null = tuple(cv.n_values - 1 for cv in gp.choice_vars)
     for w in enumerate_worlds(gp):
-        if w.selection == (0, 0, 0, 0):
+        if w.selection == all_null:
             assert parse_atom("positive") not in w.model
             break
 
@@ -105,9 +106,9 @@ def test_score_assignment_matches_partial_sum():
     gp = gp_of("a:0.3.\nb:0.6.")
     cv_a = next(cv for cv in gp.choice_vars if cv.clause_id == 0)
     # fixing a=selected sums over both b values
-    got = score_assignment(gp, [], {cv_a.index: 1})
+    got = score_assignment(gp, [], {cv_a.index: 0})
     assert math.isclose(got, 0.3, rel_tol=1e-12)
-    got = score_assignment(gp, [lit("b")], {cv_a.index: 1})
+    got = score_assignment(gp, [lit("b")], {cv_a.index: 0})
     assert math.isclose(got, 0.3 * 0.6, rel_tol=1e-12)
 
 
