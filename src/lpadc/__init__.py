@@ -5,8 +5,8 @@ from .model import (
     AnnotatedClause,
     Assignment,
     Atom,
-    ChoiceVariable,
     Diagnostic,
+    GroundClause,
     Literal,
     Program,
     Var,
@@ -48,8 +48,8 @@ __all__ = [
     "AnnotatedClause",
     "Assignment",
     "Atom",
-    "ChoiceVariable",
     "Diagnostic",
+    "GroundClause",
     "Literal",
     "Program",
     "Var",

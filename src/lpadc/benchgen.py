@@ -23,7 +23,7 @@ from random import Random
 
 from .bdd import NodeLimitError
 from .grounder import ground
-from .infer import InferError, map_query, mpe, prob_result
+from .infer import map_query, mpe, prob_result
 from .parser import parse_program
 
 BENCH_FAMILIES = ("graph", "gh", "gnb", "blood")
@@ -84,7 +84,7 @@ class BenchRow:
         # natural log of the answer, None with value; finite where an MPE's
         # value underflows to 0.0
         self.log_value = log_value
-        self.status = status  # ok | timeout | memcap | crash | error
+        self.status = status  # ok | wrong | timeout | memcap | crash | error: <message>
 
     def to_csv_dict(self):
         return {
@@ -254,29 +254,49 @@ def _run_task(spec):
     return result.value, result.log_value
 
 
-def _child(spec, queue):
+def closed_form(spec):
+    """The natural log of the exact answer where the family has one under
+    benchgen's weights, else None.  gnb's query and evidence atom a0 holds
+    in one world only, of probability 2^-(n+1), so every task answers that;
+    gh's marginal is 1/2, and blood's is 0.33 since the allele distribution
+    is stationary."""
+    if spec.family == "gnb":
+        return -(spec.size + 1) * math.log(2)
+    if spec.task == "prob":
+        return {"gh": math.log(0.5), "blood": math.log(0.33)}.get(spec.family)
+    return None
+
+
+def _outcome(spec):
+    """(status, (value, log_value)) of one in-process run.  benchgen's
+    evidence holds in some world, so an answer is wrong when its log is not
+    finite or misses the family's closed form at rel. 1e-9."""
     try:
-        queue.put(("ok", _run_task(spec)))
+        answer = _run_task(spec)
     except NodeLimitError:
-        queue.put(("memcap", (None, None)))
-    except (InferError, Exception) as exc:  # noqa: BLE001 - reported in the row
-        queue.put(("error: %s" % exc, (None, None)))
+        return "memcap", (None, None)
+    except Exception as exc:  # noqa: BLE001 - reported in the row
+        return "error: %s" % exc, (None, None)
+    want = closed_form(spec)
+    log_value = answer[1]
+    right = math.isfinite(log_value) and (
+        want is None or math.isclose(log_value, want, rel_tol=1e-9))
+    return ("ok" if right else "wrong"), answer
+
+
+def _child(spec, queue):
+    queue.put(_outcome(spec))
 
 
 def run_bench(spec):
-    """Run one spec in a worker process, enforcing the timeout by
-    termination, and report the outcome as a CSV-ready row.  A worker that
-    dies without a reply (a signal, the OOM killer, a hard exit) is a
-    crash."""
+    """Run one spec, in a worker process when it has a timeout, which is
+    enforced by termination, and report the outcome as a CSV-ready row.  A
+    worker that dies without a reply (a signal, the OOM killer, a hard exit)
+    is a crash."""
     start = time.perf_counter()
     answer = (None, None)  # (value, log_value)
     if spec.timeout is None:
-        try:
-            answer, status = _run_task(spec), "ok"
-        except NodeLimitError:
-            status = "memcap"
-        except Exception as exc:  # noqa: BLE001
-            status = "error: %s" % exc
+        status, answer = _outcome(spec)
     else:
         queue = multiprocessing.Queue()
         proc = multiprocessing.Process(target=_child, args=(spec, queue))

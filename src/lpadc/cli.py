@@ -121,7 +121,7 @@ def _oracle_result(args):
     if args.task == "mpe":
         value, sels = oracle.exact_mpe(gp, evidence)
     else:
-        query_cvs = [cv.index for cv in gp.choice_vars if cv.is_query]
+        query_cvs = [cv.cv_index for cv in gp.choice_vars if cv.is_query]
         if not query_cvs:
             raise CompileError("the map task needs map_query clauses")
         value, sels = oracle.exact_map(gp, evidence, query_cvs)

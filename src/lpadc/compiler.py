@@ -3,8 +3,8 @@
 Every choice variable, for every task, becomes a chain of Boolean variables
 under the order encoding: n values map to n-1 Booleans; value k sits at
 chain position k, the path "bits 0..k-1 false, bit k true", and the last
-value is all-false.  Values are numbered as ChoiceVariable stores them: the
-explicit heads as written, then the null head, if any.  Weights are
+value is all-false.  Values are numbered as GroundClause.values() lists
+them: the explicit heads as written, then the null head, if any.  Weights are
 conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on the 1-branch and 1 - pi_k
 on the 0-branch, so each variable's two weights sum to 1 and weighted
 counting sums each value exactly once.
@@ -67,12 +67,12 @@ class Encoding:
             self.var_ids[ci] = self._create_chain(ci)
 
     def _create_chain(self, ci):
-        cv = self.gp.choice_vars[ci]
+        probs = self.gp.choice_vars[ci].probs
         is_query = ci in self.query_cvs
         ids = []
         denom = 1.0
-        for i in range(cv.n_values - 1):
-            w = cv.probs[i] / denom
+        for i in range(len(probs) - 1):
+            w = probs[i] / denom
             ids.append(
                 self.manager.new_var(group=ci, index=i, weight=w, is_query=is_query)
             )
@@ -186,7 +186,7 @@ def compile_program(
         query = set(range(n))
     elif task == "map":
         if query_cvs is None:
-            query = {cv.index for cv in gp.choice_vars if cv.is_query}
+            query = {cv.cv_index for cv in gp.choice_vars if cv.is_query}
         else:
             query = set(query_cvs)
         if not query:

@@ -71,7 +71,7 @@ from bisect import bisect_left
 from itertools import groupby
 from operator import itemgetter
 
-from .model import AnnotatedClause, Atom, ChoiceVariable, Literal, Var, implicit_null
+from .model import AnnotatedClause, Atom, GroundClause, Literal, Var
 
 
 class GroundingError(Exception):
@@ -80,24 +80,6 @@ class GroundingError(Exception):
 
 class StratificationError(Exception):
     pass
-
-
-class GroundClause:
-    """One ground instance of a source clause."""
-
-    __slots__ = ("clause_id", "grounding_id", "heads", "body", "null_prob", "cv_index")
-
-    def __init__(self, clause_id, grounding_id, heads, body, null_prob, cv_index):
-        self.clause_id = clause_id
-        self.grounding_id = grounding_id
-        self.heads = heads  # ((Atom, float), ...) explicit heads, instantiated
-        self.body = body  # (Literal, ...)
-        self.null_prob = null_prob
-        self.cv_index = cv_index  # int, or None for deterministic instances
-
-    @property
-    def has_null(self):
-        return self.null_prob > 0.0
 
 
 class Strata:
@@ -117,11 +99,11 @@ class Strata:
 
 
 class GroundProgram:
-    def __init__(self, program, ground_clauses, choice_vars, atoms, demand=None,
-                 choices=True):
+    def __init__(self, program, ground_clauses, atoms, demand=None, choices=True):
         self.program = program
         self.ground_clauses = tuple(ground_clauses)
-        self.choice_vars = tuple(choice_vars)
+        # the probabilistic instances themselves, in cv_index order
+        self.choice_vars = tuple(gc for gc in self.ground_clauses if gc.cv_index is not None)
         self.atoms = tuple(atoms)  # the instances' heads in derivation order
         self.demand = demand  # the demanded atoms, None for the whole program
         self.choices = choices  # holds every instance of every probabilistic clause
@@ -490,40 +472,22 @@ def _cone(instances, demand):
 
 
 def _ground_program(program, instances, atoms, demand=None, choices=True):
+    """One GroundClause per instance; the probabilistic ones are numbered as
+    choice variables in clause order."""
     ground_clauses = []
-    choice_vars = []
+    n_choice = 0
     for cl, insts in zip(program.clauses, instances):
         if not insts:
             continue
-        null_prob = cl.null_prob
         deterministic = cl.is_deterministic
         for gid, (heads, body) in enumerate(insts):
             cv_index = None
             if not deterministic:
-                values = implicit_null(heads)
-                cv_index = len(choice_vars)
-                choice_vars.append(
-                    ChoiceVariable(
-                        index=cv_index,
-                        clause_id=cl.clause_id,
-                        grounding_id=gid,
-                        probs=tuple(p for _, p in values),
-                        ground_heads=tuple(a for a, _ in values),
-                        ground_body=body,
-                        is_query=cl.is_query,
-                    )
-                )
+                cv_index = n_choice
+                n_choice += 1
             ground_clauses.append(
-                GroundClause(
-                    clause_id=cl.clause_id,
-                    grounding_id=gid,
-                    heads=heads,
-                    body=body,
-                    null_prob=null_prob,
-                    cv_index=cv_index,
-                )
-            )
-    return GroundProgram(program, ground_clauses, choice_vars, atoms, demand, choices)
+                GroundClause(cl.clause_id, gid, heads, body, cv_index, cl.is_query))
+    return GroundProgram(program, ground_clauses, atoms, demand, choices)
 
 
 def _ground_all(program):

@@ -178,8 +178,9 @@ def prob_result(program, query, evidence=None, node_cap=None, gp=None):
 
 def decode(choices, encoding, query_cvs):
     """Turn map_best's picks ({choice variable: chain position, which is the
-    selection}) into one head selection per query choice variable; variables
-    without a chain take their most probable head."""
+    selection}) into an Assignment that pairs each query choice variable's
+    ground clause with its selection, in clause and grounding order;
+    variables without a chain take their most probable head."""
     gp = encoding.gp
     entries = []
     for ci in sorted(query_cvs):

@@ -2,14 +2,14 @@
 
 A program is a set of clauses ``h1:p1; ...; hn:pn :- body`` where the head
 probabilities sum to at most 1; the missing mass goes to an implicit "null"
-head meaning "no head is selected".  Ground instances of probabilistic
-clauses become choice variables, and a world is one head selection per
-choice variable.
+head meaning "no head is selected".  The ground instance of a probabilistic
+clause (a GroundClause) is a choice variable, and a world is one head
+selection per choice variable.
 
 Records are plain classes with slots, none guarding against assignment.
-Var, Atom (hashed once), Literal, AnnotatedClause, ChoiceVariable,
-Assignment and Program (not its warnings) compare by value, the first two
-by hand as grounding hashes them; other records compare by identity.
+Var, Atom (hashed once), Literal, AnnotatedClause, GroundClause, Assignment
+and Program (not its warnings) compare by value, the first two by hand as
+grounding hashes them; other records compare by identity.
 """
 
 HEAD_SUM_TOL = 1e-9
@@ -31,7 +31,7 @@ class ValueRecord:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+            "%s=%r" % (f, getattr(self, f)) for f in self._compare))
 
 
 class Var:
@@ -214,39 +214,37 @@ class Program(ValueRecord):
         return out
 
 
-class ChoiceVariable(ValueRecord):
-    """One ground instance of a probabilistic clause.
+class GroundClause(AnnotatedClause):
+    """One ground instance of a source clause: its heads and body
+    instantiated, numbered grounding_id among the clause's instances.
 
-    ``probs``/``ground_heads`` are aligned by selection index, the order of
-    the variable's chain: the explicit heads as written, then the null head
-    when the clause has one.
+    The instance of a probabilistic clause is its choice variable, at
+    position cv_index of GroundProgram.choice_vars; value k is values()[k]
+    with probability probs[k], the order of the variable's chain.
     """
 
-    __slots__ = _compare = ("index", "clause_id", "grounding_id", "probs",
-                            "ground_heads", "ground_body", "is_query")
+    __slots__ = ("grounding_id", "cv_index")
+    _compare = AnnotatedClause._compare + __slots__
 
-    def __init__(self, index, clause_id, grounding_id, probs, ground_heads,
-                 ground_body, is_query=False):
-        self.index = index  # position in GroundProgram.choice_vars
-        self.clause_id = clause_id
+    def __init__(self, clause_id, grounding_id, heads, body, cv_index=None, is_query=False):
+        AnnotatedClause.__init__(self, clause_id, heads, body, is_query)
         self.grounding_id = grounding_id
-        self.probs = probs  # (float, ...)
-        self.ground_heads = ground_heads  # (Atom, ...), NULL sentinel included
-        self.ground_body = ground_body  # (Literal, ...)
-        self.is_query = is_query
+        self.cv_index = cv_index  # None for deterministic instances
 
     @property
-    def n_values(self):
-        return len(self.probs)
+    def index(self):
+        # perfbench/check.py reads a choice variable's position as cv.index
+        return self.cv_index
 
     @property
-    def has_null(self):
-        return self.ground_heads[-1].is_null
+    def probs(self):
+        return tuple(p for _, p in self.values())
 
     def max_prob_value(self):
         """Selection index of the most probable head, of equal ones the
         first."""
-        return max(range(len(self.probs)), key=self.probs.__getitem__)
+        probs = self.probs
+        return max(range(len(probs)), key=probs.__getitem__)
 
 
 class Assignment(ValueRecord):
@@ -255,25 +253,25 @@ class Assignment(ValueRecord):
     __slots__ = _compare = ("entries",)
 
     def __init__(self, entries):
-        self.entries = entries  # ((ChoiceVariable, int selection), ...)
+        self.entries = entries  # ((GroundClause, int selection), ...)
 
     def as_dict(self):
-        return {cv.index: k for cv, k in self.entries}
+        return {gc.cv_index: k for gc, k in self.entries}
 
     def to_rule_dicts(self):
         """Serialize as rule/4 records: clause id, selected head, head list
         in selection order, instantiated body.  The null head renders as
         ''."""
         out = []
-        for cv, k in self.entries:
-            heads = [{"atom": _head_str(a), "prob": p}
-                     for a, p in zip(cv.ground_heads, cv.probs)]
+        for gc, k in self.entries:
+            heads = [{"atom": "" if a is NULL else str(a), "prob": p}
+                     for a, p in gc.values()]
             out.append(
                 {
-                    "clause": cv.clause_id,
-                    "head": _head_str(cv.ground_heads[k]),
+                    "clause": gc.clause_id,
+                    "head": heads[k]["atom"],
                     "heads": heads,
-                    "body": body_str(cv.ground_body),
+                    "body": body_str(gc.body),
                 }
             )
         return out
@@ -290,10 +288,6 @@ class Assignment(ValueRecord):
                 "rule(%d, %s, [%s], %s)" % (d["clause"], head, heads, d["body"])
             )
         return lines
-
-
-def _head_str(atom):
-    return "" if atom.is_null else str(atom)
 
 
 def body_str(body):
@@ -352,6 +346,9 @@ def validate(program):
                     % ",".join(sorted(unsafe)),
                 )
             )
+        for a, _ in cl.heads:
+            if a.is_null:
+                diags.append(Diagnostic(cl.clause_id, "the null atom may not be a head"))
         for lit in cl.body:
             if lit.atom.is_null:
                 diags.append(

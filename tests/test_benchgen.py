@@ -268,6 +268,37 @@ def test_run_bench_reports_crash(monkeypatch):
     assert row.time_s < 30.0
 
 
+def test_closed_forms_hold_on_small_instances():
+    for spec in (BenchSpec("gnb", 10, 0, "prob"), BenchSpec("gnb", 10, 0, "mpe"),
+                 BenchSpec("gnb", 10, 0, "map", map_fraction=0.5),
+                 BenchSpec("gh", 4, 0, "prob"), BenchSpec("blood", 2, 0, "prob")):
+        row = run_bench(spec)
+        assert row.status == "ok", (spec.family, spec.task)
+        assert row.log_value == pytest.approx(benchgen.closed_form(spec), rel=1e-9)
+    assert benchgen.closed_form(BenchSpec("graph", 8, 0, "prob")) is None
+
+
+def _wrong_answer(spec):
+    return 0.25, math.log(0.25)
+
+
+def _zero_answer(spec):
+    return 0.0, -math.inf
+
+
+@pytest.mark.parametrize("timeout", [None, 30.0])
+def test_run_bench_flags_a_wrong_answer(monkeypatch, timeout):
+    # the in-process run and the forked worker decide the status alike
+    monkeypatch.setattr(benchgen, "_run_task", _wrong_answer)
+    row = run_bench(BenchSpec("gh", 2, 0, "prob", timeout=timeout))
+    assert (row.status, row.value, row.log_value) == ("wrong", 0.25, math.log(0.25))
+    # graph has no closed form: only a log that is not finite is wrong there
+    assert run_bench(BenchSpec("graph", 8, 0, "mpe", timeout=timeout)).status == "ok"
+    monkeypatch.setattr(benchgen, "_run_task", _zero_answer)
+    row = run_bench(BenchSpec("graph", 8, 0, "mpe", timeout=timeout))
+    assert (row.status, row.value, row.log_value) == ("wrong", 0.0, -math.inf)
+
+
 def test_write_rows_round_trip():
     rows = [
         run_bench(BenchSpec("gh", 2, 0, "prob")),

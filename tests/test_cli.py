@@ -317,6 +317,14 @@ def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
         assert "evidence literal pick(X) is not ground" in err, argv
 
 
+def test_authored_null_head_gets_the_validator_diagnostic(capsys, tmp_path):
+    path = tmp_path / "null_head.lpad"
+    path.write_text("b:0.3; null:0.3.\nevidence(b).\n")
+    code, out, err = run(capsys, "mpe", str(path))
+    assert (code, out) == (1, "")
+    assert "clause 0: the null atom may not be a head" in err
+
+
 def test_node_cap_is_exit_2(capsys, tmp_path):
     path = tmp_path / "wide.lpad"
     # graph 20 fits in 16 nodes under the post-order; graph 40 does not

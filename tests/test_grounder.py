@@ -33,7 +33,7 @@ def test_propositional_choice_vars(ex1):
     cv0, cv1 = gp.choice_vars
     assert (cv0.clause_id, cv0.grounding_id) == (0, 0)
     assert not cv0.has_null  # 0.6+0.3+0.1 covers the mass
-    assert [str(a) for a in cv1.ground_heads] == ["pick(b1)", "no_pick(b1)"]
+    assert [str(a) for a, _ in cv1.values()] == ["pick(b1)", "no_pick(b1)"]
 
 
 def test_first_order_grounding_counts():
@@ -58,7 +58,7 @@ def test_join_matches_substitution_enumeration():
         for x, y in itertools.product("abc", repeat=2)
         if (x, y) in facts_e and y in facts_f
     }
-    got = {cv.ground_heads[0].args for cv in gp.choice_vars}
+    got = {cv.heads[0][0].args for cv in gp.choice_vars}
     assert got == expect
 
 
@@ -71,7 +71,7 @@ def test_relevance_skips_underivable_bodies():
 def test_negative_literals_do_not_bind():
     gp = gp_of("q(a).\np(X):0.5 :- q(X), \\+ r(X).")
     assert len(gp.choice_vars) == 1
-    assert str(gp.choice_vars[0].ground_body[1].atom) == "r(a)"
+    assert str(gp.choice_vars[0].body[1].atom) == "r(a)"
 
 
 def test_duplicate_instances_merged():
@@ -80,16 +80,17 @@ def test_duplicate_instances_merged():
 
 
 def test_null_head_is_the_last_value():
-    gp = gp_of("a:0.3; b:0.2.\nc:0.6; d:0.4.")
+    program = parse_program("a:0.3; b:0.2.\nc:0.6; d:0.4.\ne :- a.")
+    gp = ground(program)
+    _check_one_record(program, gp)
     with_null, without = gp.choice_vars
-    assert with_null.ground_heads[-1] is NULL
+    assert with_null.values()[-1][0] is NULL
     assert with_null.probs[-1] == pytest.approx(0.5)
-    assert NULL not in without.ground_heads
+    assert NULL not in [a for a, _ in without.values()]
     # value k is explicit head k of the ground clause
     for cv in (with_null, without):
-        gc = next(gc for gc in gp.ground_clauses if gc.cv_index == cv.index)
-        for k, (atom, p) in enumerate(gc.heads):
-            assert (cv.ground_heads[k], cv.probs[k]) == (atom, p)
+        for k, (atom, p) in enumerate(cv.heads):
+            assert (cv.values()[k], cv.probs[k]) == ((atom, p), p)
 
 
 def test_rules_by_head_links_atoms_to_instances():
@@ -183,6 +184,14 @@ def test_import_does_not_load_dataclasses_inspect_or_typing():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    import lpadc
+
+    assert [name for name in lpadc.__all__ if not hasattr(lpadc, name)] == []
+    assert len(set(lpadc.__all__)) == len(lpadc.__all__)
+    assert "GroundClause" in lpadc.__all__ and lpadc.GroundClause is lpadc.model.GroundClause
 
 
 def test_variable_clause_without_constants_rejected():
@@ -343,6 +352,8 @@ def test_choices_demand_keeps_the_whole_programs_choice_variables():
         assert [_cv_key(cv) for cv in gp.choice_vars] == [
             _cv_key(cv) for cv in full.choice_vars
         ], seed
+        _check_one_record(program, full)
+        _check_one_record(program, gp)
         heads = [a for gc in full.ground_clauses if gc.cv_index is not None
                  for a, _ in gc.heads]
         kept, reached = backward_cone(full, demand + heads)
@@ -358,8 +369,20 @@ def test_choices_demand_keeps_the_whole_programs_choice_variables():
     assert smaller > 150 and rewritten > 150, (smaller, rewritten)
 
 
+def _check_one_record(program, gp):
+    """A choice variable is its ground clause: choice_vars[i] is the i-th
+    probabilistic element of ground_clauses itself, has cv_index i, and has
+    its null value last exactly when its source clause has null mass."""
+    null_mass = {cl.clause_id: cl.has_null for cl in program.clauses}
+    assert [id(cv) for cv in gp.choice_vars] == [
+        id(gc) for gc in gp.ground_clauses if gc.cv_index is not None]
+    for i, cv in enumerate(gp.choice_vars):
+        assert cv.cv_index == i
+        assert (cv.values()[-1][0] is NULL) == null_mass[cv.clause_id]
+
+
 def _cv_key(cv):
-    return cv.index, cv.clause_id, cv.grounding_id, cv.probs, cv.ground_heads
+    return cv.cv_index, cv.clause_id, cv.grounding_id, cv.probs, cv.values()
 
 
 def test_demand_grounding_takes_the_rewrite_only_for_free_calls():

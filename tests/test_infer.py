@@ -355,7 +355,7 @@ def test_decode_defaults_to_most_probable_head(kernel):
     cp = compile_program(gp, task="mpe")
     assignment = decode({}, cp.encoding, cp.query_cvs)
     ((cv, k),) = assignment.entries
-    assert str(cv.ground_heads[k]) == "b"
+    assert str(cv.values()[k][0]) == "b"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from lpadc.model import (
     NULL,
     Assignment,
     Atom,
-    ChoiceVariable,
+    GroundClause,
     Literal,
     Var,
     body_str,
@@ -78,42 +78,45 @@ def test_body_str_shapes():
     assert body_str(two) == "(a,\\+b)"
 
 
-def _cv(probs, heads, clause_id=0, body=()):
-    return ChoiceVariable(
-        index=0,
-        clause_id=clause_id,
-        grounding_id=0,
-        probs=tuple(probs),
-        ground_heads=tuple(heads),
-        ground_body=tuple(body),
-    )
+def _gc(heads, clause_id=0, body=()):
+    """A choice variable: the ground clause with explicit heads (name, p)."""
+    return GroundClause(clause_id, 0, tuple((Atom(a), p) for a, p in heads), tuple(body),
+                        cv_index=0)
 
 
 def test_choice_variable_null_and_max():
-    cv = _cv([0.3, 0.2, 0.5], [Atom("a"), Atom("b"), NULL])
+    cv = _gc([("a", 0.3), ("b", 0.2)])
     assert cv.has_null
+    assert cv.probs == (0.3, 0.2, 0.5)
     assert cv.max_prob_value() == 2
-    assert [str(a) for a in cv.ground_heads] == ["a", "b", "null"]
-    cv2 = _cv([0.4, 0.6], [Atom("a"), Atom("b")])
+    assert [str(a) for a, _ in cv.values()] == ["a", "b", "null"]
+    assert cv.values()[-1][0] is NULL
+    cv2 = _gc([("a", 0.4), ("b", 0.6)])
     assert not cv2.has_null
+    assert cv2.probs == (0.4, 0.6)
     assert cv2.max_prob_value() == 1
 
 
 def test_max_prob_value_breaks_ties_in_chain_order():
     # the explicit heads as written, the null head last
-    assert _cv([0.5, 0.5], [Atom("a"), NULL]).max_prob_value() == 0
-    assert _cv([0.25, 0.5, 0.25], [Atom("a"), Atom("b"), NULL]).max_prob_value() == 1
-    assert _cv([0.2, 0.4, 0.4], [Atom("a"), Atom("b"), NULL]).max_prob_value() == 1
-    assert _cv([0.5, 0.5], [Atom("a"), Atom("b")]).max_prob_value() == 0
+    assert _gc([("a", 0.5)]).max_prob_value() == 0
+    assert _gc([("a", 0.25), ("b", 0.5)]).max_prob_value() == 1
+    assert _gc([("a", 0.25), ("b", 0.375)]).probs == (0.25, 0.375, 0.375)
+    assert _gc([("a", 0.25), ("b", 0.375)]).max_prob_value() == 1
+    assert _gc([("a", 0.5), ("b", 0.5)]).max_prob_value() == 0
 
 
 def test_assignment_renders_null_last():
-    cv = _cv([0.05, 0.95], [Atom("malfunction"), NULL], clause_id=1)
+    cv = _gc([("malfunction", 0.05)], clause_id=1)
     line = Assignment(((cv, 1),)).to_rule_lines()[0]
     assert line == "rule(1, '', [malfunction:0.05, '':0.95], true)"
     d = Assignment(((cv, 1),)).to_rule_dicts()[0]
     assert d["head"] == ""
     assert d["heads"][-1]["atom"] == ""  # null listed last, as stored
+    # only the implicit null head renders as ''
+    authored = _gc([("b", 0.3), ("null", 0.3)])
+    assert Assignment(((authored, 1),)).to_rule_lines()[0] == (
+        "rule(0, null, [b:0.3, null:0.3, '':0.4], true)")
 
 
 def test_validate_clean_program():
@@ -133,6 +136,17 @@ def test_validate_flags_unsafe_negated_variable():
 
 def test_validate_accepts_bound_variables():
     assert validate(parse_program("p(X) :- q(X), \\+ r(X).\nq(a).\nr(a).")) == []
+
+
+def test_validate_flags_an_authored_null_head():
+    # the null head is implicit: written out it would read as the no-head value
+    for src in ("b:0.3; null:0.3.", "null:0.5; a:0.5."):
+        assert [str(d) for d in validate(parse_program(src))] == [
+            "clause 0: the null atom may not be a head"], src
+    assert [d.message for d in validate(parse_program("a :- null."))] == [
+        "the null atom may not appear in a body"]
+    # with arguments it is an ordinary atom
+    assert validate(parse_program("null(x):0.5; a:0.5.")) == []
 
 
 def test_validate_flags_nonground_directives():

@@ -81,18 +81,18 @@ def test_exact_mpe_on_example(ex2):
     sel = argmax[0]
     cv_pick = next(cv for cv in gp.choice_vars if cv.clause_id == 1)
     cv_color = next(cv for cv in gp.choice_vars if cv.clause_id == 0)
-    assert str(cv_pick.ground_heads[sel[cv_pick.index]]) == "pick(b1)"
-    assert str(cv_color.ground_heads[sel[cv_color.index]]) == "red(b1)"
+    assert str(cv_pick.values()[sel[cv_pick.cv_index]][0]) == "pick(b1)"
+    assert str(cv_color.values()[sel[cv_color.cv_index]][0]) == "red(b1)"
 
 
 def test_exact_map_sums_out_other_clauses(ex3):
     gp = gp_of(ex3)
-    query_cvs = [cv.index for cv in gp.choice_vars if cv.is_query]
+    query_cvs = [cv.cv_index for cv in gp.choice_vars if cv.is_query]
     best, argmax = exact_map(gp, [lit("ev")], query_cvs)
     assert math.isclose(best, 0.54, rel_tol=1e-12)
     sel = argmax[0]
     cv_pick = next(cv for cv in gp.choice_vars if cv.clause_id == 1)
-    assert str(cv_pick.ground_heads[sel[cv_pick.index]]) == "pick(b1)"
+    assert str(cv_pick.values()[sel[cv_pick.cv_index]][0]) == "pick(b1)"
 
 
 def test_exact_mpe_reports_all_ties():
