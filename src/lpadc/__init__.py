@@ -35,7 +35,6 @@ from .infer import (
     InferenceStats,
     InferError,
     cond_prob,
-    decode,
     map_query,
     mpe,
     prob_result,
@@ -80,7 +79,6 @@ __all__ = [
     "InferenceStats",
     "InferError",
     "cond_prob",
-    "decode",
     "map_query",
     "mpe",
     "prob_result",

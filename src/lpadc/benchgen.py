@@ -9,7 +9,9 @@ Families:
   blood  blood type inheritance over a binary ancestor tree
 
 Every generator is a pure function of (size, seed), so a CSV row can be
-replayed from its seed column.
+replayed from its seed column.  A family's *_text function writes the
+program text and its gen_* function parses it; the harness writes the
+text before its clock starts, so a row times parsing and the engine only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import multiprocessing
 import queue as queue_module
 import time
+from functools import partial
 from random import Random
 
 from .bdd import NodeLimitError
@@ -103,7 +106,7 @@ class BenchRow:
 # ---- generators ----
 
 
-def gen_graph(n, seed):
+def graph_text(n, seed):
     """Random digraph over nodes 0..n-1: start from two unconnected nodes,
     each later node attaches two edges from distinct existing nodes chosen
     proportionally to degree (uniformly while all degrees are zero).  Each
@@ -138,10 +141,10 @@ def gen_graph(n, seed):
     lines.append("path(X, Y) :- path(X, Z), edge(Z, Y).")
     lines.append("evidence(path(0, %d))." % (n - 1))
     lines.append("query(path(0, %d))." % (n - 1))
-    return parse_program("\n".join(lines))
+    return "\n".join(lines)
 
 
-def gen_gh(size, seed=0):
+def gh_text(size, seed=0):
     """Chain of clauses with 2..size+1 heads: the clause with k heads derives
     a0..a(k-1), each with probability 1/k, from body a(k); a base fact closes
     the chain.  The query and evidence atom is a0."""
@@ -153,10 +156,10 @@ def gen_gh(size, seed=0):
     lines.append("a%d." % (size + 1))
     lines.append("evidence(a0).")
     lines.append("query(a0).")
-    return parse_program("\n".join(lines))
+    return "\n".join(lines)
 
 
-def gen_gnb(size, seed=0):
+def gnb_text(size, seed=0):
     """One clause whose body negates size atoms, plus a probabilistic fact
     per negated atom.  The query and evidence atom is a0."""
     del seed
@@ -165,7 +168,7 @@ def gen_gnb(size, seed=0):
     lines.extend("a%d:0.5." % i for i in range(1, size + 1))
     lines.append("evidence(a0).")
     lines.append("query(a0).")
-    return parse_program("\n".join(lines))
+    return "\n".join(lines)
 
 
 def _blood_persons(depth):
@@ -176,7 +179,7 @@ def _blood_persons(depth):
     return levels
 
 
-def gen_blood(size, seed=0):
+def blood_text(size, seed=0):
     """Blood type inheritance over a binary ancestor tree of depth size.
     Founders carry two allele choices (a/b/o at 0.3/0.3/0.4); every child
     inherits one allele from each parent, picking the parent's maternal or
@@ -216,30 +219,41 @@ def gen_blood(size, seed=0):
             "query(bloodtype(p, a)).",
         ]
     )
-    return parse_program("\n".join(lines))
+    return "\n".join(lines)
 
 
-_GENERATORS = {
-    "graph": gen_graph,
-    "gh": gen_gh,
-    "gnb": gen_gnb,
-    "blood": gen_blood,
+_TEXTS = {
+    "graph": graph_text,
+    "gh": gh_text,
+    "gnb": gnb_text,
+    "blood": blood_text,
 }
 
 
-def generate(family, size, seed):
-    return _GENERATORS[family](size, seed)
+def program_text(family, size, seed):
+    return _TEXTS[family](size, seed)
+
+
+def generate(family, size, seed=0):
+    return parse_program(program_text(family, size, seed))
+
+
+# each family's parsed programs
+gen_graph = partial(generate, "graph")
+gen_gh = partial(generate, "gh")
+gen_gnb = partial(generate, "gnb")
+gen_blood = partial(generate, "blood")
 
 
 # ---- timing harness ----
 
 
-def _run_task(spec):
-    """Generate and solve one instance as the API does; returns the value
-    and its log.
+def _run_task(spec, text):
+    """Parse and solve one instance as the API does; returns the value and
+    its log.
     A MAP run queries a seeded random ceil(fraction * n) of the n choice
     variables."""
-    program = generate(spec.family, spec.size, spec.seed)
+    program = parse_program(text)
     kw = {"node_cap": spec.node_cap}
     if spec.task == "prob":
         result = prob_result(program, program.queries[0], evidence=[], **kw)
@@ -267,53 +281,66 @@ def closed_form(spec):
     return None
 
 
-def _outcome(spec):
-    """(status, (value, log_value)) of one in-process run.  benchgen's
-    evidence holds in some world, so an answer is wrong when its log is not
-    finite or misses the family's closed form at rel. 1e-9."""
+def _outcome(spec, text):
+    """(status, (value, log_value), seconds) of one in-process run of the
+    program text, timing parsing and the engine.  benchgen's evidence holds
+    in some world, so an answer is wrong when its log is not finite or
+    misses the family's closed form at rel. 1e-9."""
+    start = time.perf_counter()
     try:
-        answer = _run_task(spec)
+        answer = _run_task(spec, text)
     except NodeLimitError:
-        return "memcap", (None, None)
+        status, answer = "memcap", (None, None)
     except Exception as exc:  # noqa: BLE001 - reported in the row
-        return "error: %s" % exc, (None, None)
-    want = closed_form(spec)
-    log_value = answer[1]
-    right = math.isfinite(log_value) and (
-        want is None or math.isclose(log_value, want, rel_tol=1e-9))
-    return ("ok" if right else "wrong"), answer
+        status, answer = "error: %s" % exc, (None, None)
+    else:
+        want = closed_form(spec)
+        log_value = answer[1]
+        right = math.isfinite(log_value) and (
+            want is None or math.isclose(log_value, want, rel_tol=1e-9))
+        status = "ok" if right else "wrong"
+    return status, answer, time.perf_counter() - start
 
 
-def _child(spec, queue):
-    queue.put(_outcome(spec))
+def _child(spec, text, queue):
+    queue.put(_outcome(spec, text))
+
+
+def _forked_outcome(spec, text):
+    """_outcome in a worker process, which is terminated after spec.timeout
+    seconds.  A worker that dies without a reply (a signal, the OOM killer,
+    a hard exit) is a crash; a run without a reply reports how long the
+    worker ran."""
+    start = time.perf_counter()
+    queue = multiprocessing.Queue()
+    proc = multiprocessing.Process(target=_child, args=(spec, text, queue))
+    proc.start()
+    proc.join(spec.timeout)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join()
+        status = "timeout"
+    elif proc.exitcode != 0:
+        status = "crash"
+    else:
+        try:
+            return queue.get(timeout=REPLY_WAIT_S)
+        except queue_module.Empty:
+            status = "crash"
+    return status, (None, None), time.perf_counter() - start
 
 
 def run_bench(spec):
     """Run one spec, in a worker process when it has a timeout, which is
-    enforced by termination, and report the outcome as a CSV-ready row.  A
-    worker that dies without a reply (a signal, the OOM killer, a hard exit)
-    is a crash."""
-    start = time.perf_counter()
-    answer = (None, None)  # (value, log_value)
-    if spec.timeout is None:
-        status, answer = _outcome(spec)
+    enforced by termination, and report the outcome as a CSV-ready row.  The
+    program text is written before any clock starts."""
+    try:
+        text = program_text(spec.family, spec.size, spec.seed)
+    except ValueError as exc:  # a size the family has no instance of
+        status, answer, elapsed = "error: %s" % exc, (None, None), 0.0
     else:
-        queue = multiprocessing.Queue()
-        proc = multiprocessing.Process(target=_child, args=(spec, queue))
-        proc.start()
-        proc.join(spec.timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-            status = "timeout"
-        elif proc.exitcode != 0:
-            status = "crash"
-        else:
-            try:
-                status, answer = queue.get(timeout=REPLY_WAIT_S)
-            except queue_module.Empty:
-                status = "crash"
-    elapsed = time.perf_counter() - start
+        run = _outcome if spec.timeout is None else _forked_outcome
+        status, answer, elapsed = run(spec, text)
     return BenchRow(
         family=spec.family,
         size=spec.size,

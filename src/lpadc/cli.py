@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on an input problem (parse, validation, or an
-impossible query), 2 when the run hits the timeout or the node cap.
+Exit codes: 0 on success, 1 on an input problem (usage, parse, validation,
+or an impossible query), 2 when the run hits the timeout or the node cap.
 """
 
 from __future__ import annotations
@@ -127,9 +127,7 @@ def _oracle_result(args):
         value, sels = oracle.exact_map(gp, evidence, query_cvs)
     if not sels:
         raise infer.InferError("evidence has probability zero")
-    best = oracle.first_maximiser(sels)
-    entries = tuple((gp.choice_vars[ci], k) for ci, k in sorted(best.items()))
-    return value, Assignment(entries)
+    return value, Assignment.of(gp, oracle.first_maximiser(sels))
 
 
 def _cmd_oracle(args):
@@ -171,6 +169,10 @@ def _cmd_dot(args):
 def _cmd_bench(args):
     if "map" in args.task and not args.fraction:
         raise ValueError("map runs need at least one --fraction")
+    if args.fraction and "map" not in args.task:
+        raise ValueError("--fraction applies to map runs only")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1, not %d" % args.seeds)
     # every spec is checked before the first run
     specs = [
         benchgen.BenchSpec(
@@ -222,8 +224,18 @@ def _check_limits(args):
                           ("--timeout", "--node-cap"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other bad input
+    does; argparse's own code, 2, means a timeout or the node cap here.
+    The subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpadc",
         description="Probabilistic inference for logic programs with "
         "annotated disjunctions.",

@@ -23,10 +23,10 @@ MPE and MAP use the same encoding.  Their query choice variables' chains are
 created first, in the relative order of the same post-order (or of the
 caller's creation_order), so they sit on the top levels of the diagram,
 which is the layout the max-product pass in BddManager.map_best needs.
-lpadc.infer passes the evidence's cone_order as the creation order, so only
-the variables the evidence depends on get chains.  The pass settles ties by
-index order, not level order, so the reported maximiser does not depend on
-the order.
+Every choice variable gets a chain, for every task: a creation_order is
+completed as post_order completes the cone, with the variables it does not
+list in index order.  The pass settles ties by index order, not level
+order, so the reported maximiser does not depend on the order.
 
 Atom formulas are built bottom-up per strongly connected component of the
 atom dependency graph, in the grounder's condensation order, restricted to
@@ -52,8 +52,9 @@ class Encoding:
 
     Chains are created for the variables creation_order lists, the query
     choice variables' first and then the rest, each part in the relative
-    order of creation_order; compile_program passes the post-order of its
-    root atoms.  Value k of a choice variable is position k of its chain.
+    order of creation_order; compile_program passes a complete order, by
+    default the post-order of its root atoms.  Value k of a choice variable
+    is position k of its chain.
     """
 
     def __init__(self, manager, gp, query_cvs, creation_order):
@@ -72,7 +73,9 @@ class Encoding:
         ids = []
         denom = 1.0
         for i in range(len(probs) - 1):
-            w = probs[i] / denom
+            # heads whose float sum already reaches 1 leave no mass for the
+            # rest: a path past them has probability 0 whatever their weight
+            w = probs[i] / denom if denom > 0.0 else 1.0
             ids.append(
                 self.manager.new_var(group=ci, index=i, weight=w, is_query=is_query)
             )
@@ -90,8 +93,6 @@ class Encoding:
             return hit
         m = self.manager
         ids = self.var_ids[ci]
-        if ids is None:
-            raise CompileError("choice variable %d has no chain" % ci)
         out = m.true
         for i in range(k):
             out = out & m.nvar(ids[i])
@@ -155,12 +156,20 @@ def cone_order(gp, atoms):
     return order
 
 
+def _complete(order, n):
+    """order, then the choice variables 0..n-1 it does not list in index
+    order."""
+    order = list(order)
+    listed = set(order)
+    if len(listed) != len(order) or not listed <= set(range(n)):
+        raise CompileError("creation_order must list distinct choice variables")
+    return order + [ci for ci in range(n) if ci not in listed]
+
+
 def post_order(gp, atoms):
     """cone_order(gp, atoms), then the variables it does not reach in index
     order."""
-    order = cone_order(gp, atoms)
-    reached = set(order)
-    return order + [ci for ci in range(len(gp.choice_vars)) if ci not in reached]
+    return _complete(cone_order(gp, atoms), len(gp.choice_vars))
 
 
 def compile_program(
@@ -175,9 +184,10 @@ def compile_program(
 
     query_cvs (choice-variable indices) defaults to the map_query-flagged
     variables for task "map" and to all variables for "mpe"; their chains
-    are created first, so they sit on the top levels.  Without a
-    creation_order both parts follow post_order(gp, roots); roots are the
-    atoms the caller will compile.
+    are created first, so they sit on the top levels.  Every choice
+    variable gets a chain: both parts follow creation_order, completed with
+    the unlisted variables in index order, or else post_order(gp, roots);
+    roots are the atoms the caller will compile.
     """
     if task not in TASK_MODES:
         raise CompileError("unknown task %r" % task)
@@ -198,8 +208,8 @@ def compile_program(
         raise CompileError("query choice variables out of range: %r" % bad)
     manager = BddManager() if node_cap is None else BddManager(node_cap)
     if creation_order is None:
-        creation_order = post_order(gp, roots)
-    encoding = Encoding(manager, gp, query, creation_order)
+        creation_order = cone_order(gp, roots)
+    encoding = Encoding(manager, gp, query, _complete(creation_order, n))
     return CompiledProgram(gp, manager, encoding, task)
 
 

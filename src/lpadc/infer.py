@@ -22,23 +22,21 @@ Maximization reports the joint probability P(x, e) by default; pass
 normalize=True for P(x | e).  The pass runs in log space and the result
 carries log_value next to value = exp(log_value), so a selection keeps a
 meaningful score when its probability underflows a float.  Assignments
-cover every query choice variable: variables the best path never touches
-are completed with their most probable head (the path not branching on them
-means any head yields the same remainder, so the maximum picks the
-heaviest).
+cover every query choice variable: every one has a chain, and the pass
+gives a chain the best path never tests its first most probable value
+(any value yields the same remainder there).
 
 A marginal grounds only what its query and evidence atoms depend on
 (grounder.ground with a demand).  MPE and MAP ground what the evidence atoms
 and every probabilistic clause depend on (choices=True), because their
 assignments cover every query choice variable; the choice variables keep
-the whole program's numbering.  They create chains only for the evidence's
-cone (compiler.cone_order): the diagram tests no other variable, so every
-other query variable takes its most probable head and adds its log
-probability to log_value, and a summed-out one adds nothing.  Every entry
-point validates the program, also when the caller passes a ground program
-of its own; one grounded for a demand is accepted only when it covers the
-task's: its demand holds the query and evidence atoms, and for MPE and MAP
-it was grounded with choices.
+the whole program's numbering.  All three tasks reach compile_program the
+same way, with the atoms they compile as roots, so every choice variable of
+the ground program gets a chain in post-order from them.  Every entry point
+validates the program, also when the caller passes a ground program of its
+own; one grounded for a demand is accepted only when it covers the task's:
+its demand holds the query and evidence atoms, and for MPE and MAP it was
+grounded with choices.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import time
 
 from . import grounder
 from .bdd import _log
-from .compiler import compile_program, compile_query, cone_order
+from .compiler import compile_program, compile_query
 from .model import Assignment, Literal, validate
 
 
@@ -176,52 +174,27 @@ def prob_result(program, query, evidence=None, node_cap=None, gp=None):
     return InferenceResult("prob", value, _log(value), True, None, stats)
 
 
-def decode(choices, encoding, query_cvs):
-    """Turn map_best's picks ({choice variable: chain position, which is the
-    selection}) into an Assignment that pairs each query choice variable's
-    ground clause with its selection, in clause and grounding order;
-    variables without a chain take their most probable head."""
-    gp = encoding.gp
-    entries = []
-    for ci in sorted(query_cvs):
-        cv = gp.choice_vars[ci]
-        k = choices.get(ci)
-        entries.append((cv, cv.max_prob_value() if k is None else k))
-    entries.sort(key=lambda e: (e[0].clause_id, e[0].grounding_id))
-    return Assignment(tuple(entries))
-
-
 def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
                  creation_order=None):
     start = time.perf_counter()
     ev = _evidence_of(program, evidence)
     roots = [lit.atom for lit in ev]
     gp = _ground(program, gp, roots, choices=True)
-    # chains only for the evidence cone: the diagram tests no other variable
-    cone = cone_order(gp, roots)
-    if creation_order is not None:
-        inside = set(cone)
-        cone = [ci for ci in creation_order if ci in inside]
     cp = compile_program(gp, task=task, query_cvs=query_cvs, node_cap=node_cap,
-                         creation_order=cone)
+                         creation_order=creation_order, roots=roots)
     eref = compile_query(cp, list(ev))
     if eref.is_false:
         # every variable weight is positive, so an unsatisfiable BDD is the
         # only way the evidence can have probability zero
         raise InferError("evidence has probability zero")
     log_value, choices = cp.manager.map_best(eref)
-    assignment = decode(choices, cp.encoding, cp.query_cvs)
-    # a query variable outside the cone takes its most probable head whatever
-    # the rest selects; a summed-out one contributes its total mass, 1
-    log_value += sum(math.log(max(gp.choice_vars[ci].probs))
-                     for ci in cp.query_cvs if cp.encoding.group_vars(ci) is None)
     if normalize:
         p_ev = cp.manager.prob(eref)
         if p_ev <= 0.0:
             raise InferError("evidence probability underflows to zero")
         log_value -= math.log(p_ev)
     return InferenceResult(task, math.exp(log_value), log_value, normalize,
-                           assignment, _stats(cp, eref.node_count(), start))
+                           Assignment.of(gp, choices), _stats(cp, eref.node_count(), start))
 
 
 def mpe(program, evidence=None, normalize=False, node_cap=None, gp=None):

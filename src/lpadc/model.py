@@ -240,12 +240,6 @@ class GroundClause(AnnotatedClause):
     def probs(self):
         return tuple(p for _, p in self.values())
 
-    def max_prob_value(self):
-        """Selection index of the most probable head, of equal ones the
-        first."""
-        probs = self.probs
-        return max(range(len(probs)), key=probs.__getitem__)
-
 
 class Assignment(ValueRecord):
     """A head selection per choice variable, as returned by MPE/MAP."""
@@ -254,6 +248,13 @@ class Assignment(ValueRecord):
 
     def __init__(self, entries):
         self.entries = entries  # ((GroundClause, int selection), ...)
+
+    @classmethod
+    def of(cls, gp, selection):
+        """The Assignment of a {cv_index: value} selection over the ground
+        program gp, in cv_index order, which is clause and grounding
+        order."""
+        return cls(tuple((gp.choice_vars[ci], k) for ci, k in sorted(selection.items())))
 
     def as_dict(self):
         return {gc.cv_index: k for gc, k in self.entries}

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import random
+import time
 
 import pytest
 
@@ -246,8 +247,7 @@ def test_run_bench_memcap():
 
 
 def test_run_bench_timeout():
-    # generating graph 3000 alone takes over a second, however fast the
-    # engine answers
+    # parsing and grounding graph 3000 take well over 0.2 s
     spec = BenchSpec("graph", 3000, 0, "prob", timeout=0.2)
     row = run_bench(spec)
     assert row.status == "timeout"
@@ -255,7 +255,22 @@ def test_run_bench_timeout():
     assert row.time_s >= 0.2
 
 
-def _exit_without_reply(spec):
+@pytest.mark.parametrize("timeout", [None, 30.0])
+def test_run_bench_times_parsing_and_the_engine_only(monkeypatch, timeout):
+    # writing the text takes 0.2 s, which no row may count
+    write = benchgen.gh_text
+
+    def slow(size, seed=0):
+        time.sleep(0.2)
+        return write(size, seed)
+
+    monkeypatch.setitem(benchgen._TEXTS, "gh", slow)
+    row = run_bench(BenchSpec("gh", 2, 0, "prob", timeout=timeout))
+    assert row.status == "ok"
+    assert row.time_s < 0.1
+
+
+def _exit_without_reply(spec, text):
     os._exit(1)
 
 
@@ -278,11 +293,11 @@ def test_closed_forms_hold_on_small_instances():
     assert benchgen.closed_form(BenchSpec("graph", 8, 0, "prob")) is None
 
 
-def _wrong_answer(spec):
+def _wrong_answer(spec, text):
     return 0.25, math.log(0.25)
 
 
-def _zero_answer(spec):
+def _zero_answer(spec, text):
     return 0.0, -math.inf
 
 

@@ -402,12 +402,26 @@ def test_unusable_limits_are_exit_1(capsys, argv):
     ("oracle", "prob", COLORS, "--stats"),
     ("dot", COLORS, "--json"),
     ("dot", COLORS, "--dump-ground"),
+    ("oracle", "mpe", COLORS, "--normalize"),
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mpe",),
+    ("solve", COLORS),
+    ("prob", COLORS, "--node-cap", "many"),
+])
+def test_usage_errors_exit_1_not_the_limit_code(capsys, argv):
+    # 2 is the code of a timeout or the node cap
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +458,18 @@ def test_bench_map_fraction_outside_unit_interval_is_exit_1(capsys, fraction):
                          "--fraction", fraction)
     assert code == 1 and out == ""
     assert "map_fraction" in err
+
+
+@pytest.mark.parametrize("flags,named", [
+    (("--task", "prob", "--fraction", "0.5"), "--fraction"),
+    (("--task", "prob", "--task", "mpe", "--fraction", "0.5"), "--fraction"),
+    (("--task", "prob", "--seeds", "0"), "--seeds"),
+    (("--task", "map", "--fraction", "0.5", "--seeds", "-1"), "--seeds"),
+])
+def test_bench_rejects_flags_it_would_ignore(capsys, flags, named):
+    code, out, err = run(capsys, "bench", "--family", "gh", "--size", "2", *flags)
+    assert code == 1 and out == ""
+    assert named in err
 
 
 def test_bench_map_requires_fraction(capsys):

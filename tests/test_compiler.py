@@ -349,14 +349,16 @@ def test_post_order_reached_prefix_then_index_order():
     assert post_order(gp, []) == [0, 1, 2, 3]
 
 
-def test_a_formula_over_a_variable_without_a_chain_is_rejected():
-    # MPE and MAP create chains only for the evidence's cone
-    gp = _gp("a:0.5.\nb:0.5.\nc :- b.\n")
-    cp = compile_program(gp, task="mpe", creation_order=cone_order(gp, [parse_atom("a")]))
-    assert cp.manager.num_vars == 1
-    assert not compile_query(cp, [Literal(parse_atom("a"))]).is_false
-    with pytest.raises(CompileError):
-        compile_query(cp, [Literal(parse_atom("c"))])
+def test_a_partial_creation_order_is_completed_in_index_order(kernel):
+    # every choice variable gets a chain, also one the order leaves out
+    gp = _gp("a:0.5.\nb:0.5.\nc :- b.\nd:0.5.\n")
+    cp = compile_program(gp, task="mpe", creation_order=cone_order(gp, [parse_atom("b")]))
+    m = cp.manager
+    assert [m.var_info(v).group for v in m.level_order()] == [1, 0, 2]
+    assert cp.manager.prob(compile_query(cp, [Literal(parse_atom("c"))])) == 0.5
+    for bad in ([0, 0], [3], [-1]):
+        with pytest.raises(CompileError):
+            compile_program(gp, creation_order=bad)
 
 
 def test_post_order_puts_body_variables_first():

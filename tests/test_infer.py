@@ -11,7 +11,7 @@ import weakref
 import pytest
 
 from lpadc.grounder import StratificationError, ground, stratify
-from lpadc.infer import InferError, cond_prob, decode, map_query, mpe, prob_result
+from lpadc.infer import InferError, cond_prob, map_query, mpe, prob_result
 from lpadc.model import Literal
 from lpadc.oracle import (
     exact_cond_prob,
@@ -217,14 +217,14 @@ def test_json_shape(kernel, ex2):
 
 
 def test_tie_outside_the_evidence_cone_needs_no_recompile(kernel):
-    # y and z tie, but the evidence never reaches their clause, so the pick
-    # does not depend on the layout and no chain is created for it
+    # y and z tie, but the evidence never reaches their clause: the diagram
+    # never tests its chain, so the pass jumps it and picks its first value
     program = parse_program("y:0.5; z:0.5.\nx:0.3; w:0.7.\nevidence(x).\n")
     res = mpe(program)
     assert len(exact_mpe(ground(program), list(program.evidence))[1]) == 2
     assert res.value == pytest.approx(0.15, abs=1e-12)
     assert [d["head"] for d in res.assignment.to_rule_dicts()] == ["y", "x"]
-    assert (res.stats.choice_vars, res.stats.bool_vars) == (2, 1)
+    assert (res.stats.choice_vars, res.stats.bool_vars) == (2, 2)
 
 
 def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel):
@@ -237,7 +237,7 @@ def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel)
     )
     full = ground(program)
     res = mpe(program)
-    assert res.stats.bool_vars == 2  # a's chain only
+    assert res.stats.bool_vars == 8  # two bits per choice variable's chain
     assert res.stats.ground_atoms == len(full.atoms) - 3  # no g(X)
     picks = {d["body"]: d["head"] for d in res.assignment.to_rule_dicts()}
     assert picks == {"n(1)": "e(1)", "n(2)": "e(2)", "n(3)": "e(3)", "true": "a"}
@@ -251,6 +251,31 @@ def test_choices_outside_the_evidence_cone_take_their_most_probable_head(kernel)
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.assignment.as_dict() in argmax
     assert res.value == pytest.approx(0.4 ** 3 * 0.3, rel=1e-12)
+
+
+def test_near_tie_outside_the_evidence_cone_goes_to_the_first_head(kernel):
+    # the null head's mass is 1 - 0.7 = 0.30000000000000004, a float above
+    # a's 0.3; the pass settles the near tie as it does inside the cone
+    program = parse_program("map_query a:0.3; b:0.3; c:0.1.\nd:0.5.\nevidence(d).\n")
+    gp = ground(program)
+    ev = list(program.evidence)
+    assert mpe(program).assignment.as_dict() == {0: 0, 1: 0}
+    assert first_maximiser(exact_mpe(gp, ev)[1]) == {0: 0, 1: 0}
+    assert map_query(program).assignment.as_dict() == {0: 0}
+    assert first_maximiser(exact_map(gp, ev, [0])[1]) == {0: 0}
+
+
+def test_heads_summing_to_one_before_the_last_compile(kernel):
+    # 0.5 + 0.5 is 1.0 in floats, so the chain has no mass left for c and e
+    program = parse_program("a:0.5; b:0.5; c:1e-300; e:1e-300.\nd:0.5.\nevidence(d).\n")
+    gp = ground(program)
+    ev = list(program.evidence)
+    res = mpe(program)
+    want, argmax = exact_mpe(gp, ev)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert res.assignment.as_dict() == first_maximiser(argmax) == {0: 0, 1: 0}
+    assert prob_result(program, parse_atom("c")).value == pytest.approx(
+        exact_cond_prob(gp, [Literal(parse_atom("c"))], ev), abs=1e-12)
 
 
 def test_negative_cycle_outside_the_evidence_cone_rejected(kernel):
@@ -346,16 +371,6 @@ def test_gnb_map_boundary_keeps_its_digits(kernel):
 
     res = map_query(gen_gnb(60), query_cvs=[0])
     assert math.isclose(res.log_value, -61 * math.log(2), rel_tol=1e-12)
-
-
-def test_decode_defaults_to_most_probable_head(kernel):
-    from lpadc.compiler import compile_program
-
-    gp = ground(parse_program("a:0.2; b:0.7; c:0.1.\n"))
-    cp = compile_program(gp, task="mpe")
-    assignment = decode({}, cp.encoding, cp.query_cvs)
-    ((cv, k),) = assignment.entries
-    assert str(cv.values()[k][0]) == "b"
 
 
 @pytest.mark.parametrize(

@@ -88,22 +88,11 @@ def test_choice_variable_null_and_max():
     cv = _gc([("a", 0.3), ("b", 0.2)])
     assert cv.has_null
     assert cv.probs == (0.3, 0.2, 0.5)
-    assert cv.max_prob_value() == 2
     assert [str(a) for a, _ in cv.values()] == ["a", "b", "null"]
     assert cv.values()[-1][0] is NULL
     cv2 = _gc([("a", 0.4), ("b", 0.6)])
     assert not cv2.has_null
     assert cv2.probs == (0.4, 0.6)
-    assert cv2.max_prob_value() == 1
-
-
-def test_max_prob_value_breaks_ties_in_chain_order():
-    # the explicit heads as written, the null head last
-    assert _gc([("a", 0.5)]).max_prob_value() == 0
-    assert _gc([("a", 0.25), ("b", 0.5)]).max_prob_value() == 1
-    assert _gc([("a", 0.25), ("b", 0.375)]).probs == (0.25, 0.375, 0.375)
-    assert _gc([("a", 0.25), ("b", 0.375)]).max_prob_value() == 1
-    assert _gc([("a", 0.5), ("b", 0.5)]).max_prob_value() == 0
 
 
 def test_assignment_renders_null_last():
