@@ -25,8 +25,6 @@ from .bdd import BddManager, BddRef, BddVarInfo, BddError, NodeLimitError
 from .compiler import (
     CompileError,
     CompiledProgram,
-    Encoding,
-    compile_atom,
     compile_program,
     compile_query,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "NodeLimitError",
     "CompileError",
     "CompiledProgram",
-    "Encoding",
-    "compile_atom",
     "compile_program",
     "compile_query",
     "InferenceResult",

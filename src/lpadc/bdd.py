@@ -365,7 +365,7 @@ class BddManager:
         """Weighted count of the encoded formula: the sum over satisfying
         assignments of the product of branch weights.  It holds for any
         weights, and it is the probability when every variable's two
-        weights sum to 1 (the order encoding guarantees this).  The count
+        weights sum to 1 (the order encoding's do, up to rounding).  The count
         never subtracts, so a value near 0 keeps its digits even under a
         complemented root."""
         return self._pair(a.ref >> 1)[a.ref & 1]

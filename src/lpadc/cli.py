@@ -13,7 +13,7 @@ import sys
 
 from . import benchgen, infer, oracle
 from .bdd import NodeLimitError
-from .compiler import CompileError, compile_program, compile_query
+from .compiler import CompileError, compile_program, compile_query, query_cvs_of
 from .grounder import GroundingError, StratificationError, format_ground, ground
 from .model import Assignment, Literal, Program
 from .parser import ParseError, parse_atom, parse_literal, parse_program
@@ -118,13 +118,7 @@ def _oracle_result(args):
         else:
             value = oracle.exact_prob(gp, query)
         return value, None
-    if args.task == "mpe":
-        value, sels = oracle.exact_mpe(gp, evidence)
-    else:
-        query_cvs = [cv.cv_index for cv in gp.choice_vars if cv.is_query]
-        if not query_cvs:
-            raise CompileError("the map task needs map_query clauses")
-        value, sels = oracle.exact_map(gp, evidence, query_cvs)
+    value, sels = oracle.exact_map(gp, evidence, query_cvs_of(gp, args.task))
     if not sels:
         raise infer.InferError("evidence has probability zero")
     return value, Assignment.of(gp, oracle.first_maximiser(sels))

@@ -4,10 +4,12 @@ Every choice variable, for every task, becomes a chain of Boolean variables
 under the order encoding: n values map to n-1 Booleans; value k sits at
 chain position k, the path "bits 0..k-1 false, bit k true", and the last
 value is all-false.  Values are numbered as GroundClause.values() lists
-them: the explicit heads as written, then the null head, if any.  Weights are
-conditional: pi_k = P_k / prod_{j<k}(1 - pi_j) on the 1-branch and 1 - pi_k
-on the 0-branch, so each variable's two weights sum to 1 and weighted
-counting sums each value exactly once.
+them: the explicit heads as written, then the null head, if any.  Weights
+come from suffix sums: with r_k = P_k + ... + P_{n-1}, bit k weighs
+P_k / r_k on the 1-branch and r_{k+1} / r_k on the 0-branch.  A bit's two
+weights sum to 1 up to rounding, every weight is positive, and the path to
+value k weighs P_k / r_0, where r_0 = 1, so weighted counting sums each
+value once.
 
 Chains are created in the variable order of the diagram.  By default they
 follow post_order from the atoms the caller is about to compile: a
@@ -34,6 +36,11 @@ atoms the query actually depends on: an atom outside every cycle is built
 once from its finished dependencies, and only the atoms of a cyclic
 component run a least-fixpoint iteration starting from FALSE.
 Every formula depends on a chain only through the value it selects.
+
+CompiledProgram is the one record of a compile: the manager, the chains,
+the query choice variables (query_cvs_of, the one rule from task to query
+chains), the formula table and the count of passes over cyclic components.
+Formulas are read only through compile_query.
 """
 
 from __future__ import annotations
@@ -47,21 +54,24 @@ class CompileError(Exception):
     pass
 
 
-class Encoding:
-    """Boolean variable chains for the choice variables of a ground program.
+class CompiledProgram:
+    """One compile of a ground program: the chains of its choice variables in
+    a BddManager, and the formula table that compile_query grows.
 
-    Chains are created for the variables creation_order lists, the query
-    choice variables' first and then the rest, each part in the relative
-    order of creation_order; compile_program passes a complete order, by
-    default the post-order of its root atoms.  Value k of a choice variable
-    is position k of its chain.
+    Chains are created in creation_order, the query choice variables' first
+    and then the rest, each part in the relative order of creation_order;
+    compile_program passes a complete order.  var_ids[ci] lists the chain
+    of choice variable ci, and value k is position k of it.
+    fixpoint_iterations counts the passes over cyclic components.
     """
 
-    def __init__(self, manager, gp, query_cvs, creation_order):
-        self.manager = manager
+    def __init__(self, gp, manager, query_cvs, creation_order):
         self.gp = gp
+        self.manager = manager
         self.query_cvs = frozenset(query_cvs)
         self.var_ids = [None] * len(gp.choice_vars)
+        self.formulas = {}
+        self.fixpoint_iterations = 0
         self._value_cache = {}
         # a stable sort puts the query chains first
         for ci in sorted(creation_order, key=lambda ci: ci not in self.query_cvs):
@@ -69,21 +79,17 @@ class Encoding:
 
     def _create_chain(self, ci):
         probs = self.gp.choice_vars[ci].probs
+        # rest[i] = probs[i] + ... + probs[-1]; the weights stay positive
+        # also where the heads before a tiny one already sum to 1 in floats
+        rest = [0.0] * (len(probs) + 1)
+        for i in reversed(range(len(probs))):
+            rest[i] = probs[i] + rest[i + 1]
         is_query = ci in self.query_cvs
-        ids = []
-        denom = 1.0
-        for i in range(len(probs) - 1):
-            # heads whose float sum already reaches 1 leave no mass for the
-            # rest: a path past them has probability 0 whatever their weight
-            w = probs[i] / denom if denom > 0.0 else 1.0
-            ids.append(
-                self.manager.new_var(group=ci, index=i, weight=w, is_query=is_query)
-            )
-            denom *= 1.0 - w
-        return tuple(ids)
-
-    def group_vars(self, ci):
-        return self.var_ids[ci]
+        return tuple(
+            self.manager.new_var(group=ci, index=i, weight=probs[i] / rest[i],
+                                 zero_weight=rest[i + 1] / rest[i], is_query=is_query)
+            for i in range(len(probs) - 1)
+        )
 
     def value_bdd(self, ci, k):
         """BDD for "choice variable ci selects value k"."""
@@ -100,30 +106,6 @@ class Encoding:
             out = out & m.var(ids[k])
         self._value_cache[key] = out
         return out
-
-
-class CompileStats:
-    __slots__ = ("fixpoint_iterations", "strata_processed")
-
-    def __init__(self, fixpoint_iterations=0, strata_processed=0):
-        self.fixpoint_iterations = fixpoint_iterations  # component passes, one per acyclic one
-        self.strata_processed = strata_processed  # components built
-
-
-class CompiledProgram:
-    """A ground program with its encoding and the growing formula table."""
-
-    def __init__(self, gp, manager, encoding, task):
-        self.gp = gp
-        self.manager = manager
-        self.encoding = encoding
-        self.task = task
-        self.formulas = {}
-        self.stats = CompileStats()
-
-    @property
-    def query_cvs(self):
-        return self.encoding.query_cvs
 
 
 def cone_order(gp, atoms):
@@ -172,6 +154,29 @@ def post_order(gp, atoms):
     return _complete(cone_order(gp, atoms), len(gp.choice_vars))
 
 
+def query_cvs_of(gp, task, query_cvs=None):
+    """The query choice variables of a task: none for "prob", every one for
+    "mpe", and for "map" query_cvs, by default the variables of the
+    map_query clauses."""
+    if task not in TASK_MODES:
+        raise CompileError("unknown task %r" % task)
+    n = len(gp.choice_vars)
+    if task == "prob":
+        return frozenset()
+    if task == "mpe":
+        return frozenset(range(n))
+    if query_cvs is None:
+        query_cvs = [cv.cv_index for cv in gp.choice_vars if cv.is_query]
+    query = frozenset(query_cvs)
+    if not query:
+        raise CompileError("map needs at least one query choice variable "
+                           "(a map_query clause)")
+    bad = sorted(ci for ci in query if not (0 <= ci < n))
+    if bad:
+        raise CompileError("query choice variables out of range: %r" % bad)
+    return query
+
+
 def compile_program(
     gp,
     task="prob",
@@ -182,35 +187,17 @@ def compile_program(
 ):
     """Set up the Boolean encoding for a ground program.
 
-    query_cvs (choice-variable indices) defaults to the map_query-flagged
-    variables for task "map" and to all variables for "mpe"; their chains
-    are created first, so they sit on the top levels.  Every choice
+    The query choice variables are query_cvs_of(gp, task, query_cvs); their
+    chains are created first, so they sit on the top levels.  Every choice
     variable gets a chain: both parts follow creation_order, completed with
     the unlisted variables in index order, or else post_order(gp, roots);
     roots are the atoms the caller will compile.
     """
-    if task not in TASK_MODES:
-        raise CompileError("unknown task %r" % task)
-    n = len(gp.choice_vars)
-    if task == "mpe":
-        query = set(range(n))
-    elif task == "map":
-        if query_cvs is None:
-            query = {cv.cv_index for cv in gp.choice_vars if cv.is_query}
-        else:
-            query = set(query_cvs)
-        if not query:
-            raise CompileError("map needs at least one query choice variable")
-    else:
-        query = set()
-    bad = [ci for ci in query if not (0 <= ci < n)]
-    if bad:
-        raise CompileError("query choice variables out of range: %r" % bad)
+    query = query_cvs_of(gp, task, query_cvs)
     manager = BddManager() if node_cap is None else BddManager(node_cap)
     if creation_order is None:
         creation_order = cone_order(gp, roots)
-    encoding = Encoding(manager, gp, query, _complete(creation_order, n))
-    return CompiledProgram(gp, manager, encoding, task)
+    return CompiledProgram(gp, manager, query, _complete(creation_order, len(gp.choice_vars)))
 
 
 def _needed_atoms(cp, atoms):
@@ -242,7 +229,6 @@ def _ensure_atoms(cp, atoms):
     for c in sorted({strata.index[a] for a in needed if a in strata.index}):
         group = strata.levels[c]
         cur = {a: m.false for a in group}
-        cp.stats.strata_processed += 1
 
         def formula_of(atom):
             if atom in cur:
@@ -250,7 +236,6 @@ def _ensure_atoms(cp, atoms):
             return cp.formulas.get(atom, m.false)
 
         while True:
-            cp.stats.fixpoint_iterations += 1
             changed = False
             for a in group:
                 f = m.false
@@ -259,7 +244,7 @@ def _ensure_atoms(cp, atoms):
                     ops = [~formula_of(lit.atom) if lit.negated else formula_of(lit.atom)
                            for lit in gc.body]
                     if gc.cv_index is not None:
-                        ops.insert(0, cp.encoding.value_bdd(gc.cv_index, pos))
+                        ops.insert(0, cp.value_bdd(gc.cv_index, pos))
                     # deepest first, so each conjunction adds levels above the term
                     ops.sort(key=m.top_level, reverse=True)
                     term = ops[0] if ops else m.true
@@ -271,27 +256,21 @@ def _ensure_atoms(cp, atoms):
                 if f.ref != cur[a].ref:
                     cur[a] = f
                     changed = True
-            if not (changed and strata.cyclic[c]):
+            if not strata.cyclic[c]:
+                break
+            cp.fixpoint_iterations += 1
+            if not changed:
                 break
         cp.formulas.update(cur)
 
 
-def compile_atom(cp, atom):
-    """BDD for "atom is derivable", over the program's choice variables."""
-    if atom not in cp.formulas:
-        _ensure_atoms(cp, [atom])
-    return cp.formulas.get(atom, cp.manager.false)
-
-
-def compile_literal(cp, lit):
-    f = compile_atom(cp, lit.atom)
-    return ~f if lit.negated else f
-
-
 def compile_query(cp, literals):
-    """Conjunction of the literals' formulas."""
+    """Conjunction of the literals' formulas, TRUE for no literals; an atom
+    without rules is FALSE."""
     _ensure_atoms(cp, [lit.atom for lit in literals])
-    out = cp.manager.true
+    m = cp.manager
+    out = m.true
     for lit in literals:
-        out = out & compile_literal(cp, lit)
+        f = cp.formulas.get(lit.atom, m.false)
+        out = out & (~f if lit.negated else f)
     return out

@@ -2,12 +2,15 @@
 
 All three tasks compile the program under one encoding, where each choice
 variable is a chain of Boolean variables (see lpadc.compiler), created in
-post-order from the query and evidence atoms.  Marginals
-are weighted counts of the query BDD.  MPE and MAP put the query choice
-variables' chains on the top levels and run one max-product pass over the
-evidence BDD (BddManager.map_best): within a query chain it maximizes over
-the values a path can still select, and at the first non-query node it
-switches to the weighted count of the rest.  The pass is sound because a
+post-order from the query and evidence atoms, and read every formula
+through compile_query.  A marginal is the weighted count of query and
+evidence over that of the evidence, whose diagram is TRUE when there is
+none.  MPE and MAP put the query choice variables' chains (all of them for
+MPE, the map_query clauses' by default for MAP; compiler.query_cvs_of) on
+the top levels and run one max-product pass over the evidence BDD
+(BddManager.map_best): within a query chain it maximizes over the values a
+path can still select, and at the first non-query node it switches to the
+weighted count of the rest.  The pass is sound because a
 compiled formula depends on a chain only through the value it selects, so a
 path enters a chain at its first bit and leaves it after a 1-branch.
 
@@ -80,7 +83,7 @@ def _stats(cp, nodes, start):
         choice_vars=len(gp.choice_vars),
         bool_vars=cp.manager.num_vars,
         bdd_nodes=nodes,
-        fixpoint_iterations=cp.stats.fixpoint_iterations,
+        fixpoint_iterations=cp.fixpoint_iterations,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -160,17 +163,13 @@ def prob_result(program, query, evidence=None, node_cap=None, gp=None):
     gp = _ground(program, gp, roots)
     cp = compile_program(gp, task="prob", node_cap=node_cap, roots=roots)
     qref = compile_query(cp, [Literal(query)])
-    value = cp.manager.prob(qref)
-    nodes = qref.node_count()
-    if ev:
-        eref = compile_query(cp, list(ev))
-        p_ev = cp.manager.prob(eref)
-        if p_ev <= 0.0:
-            raise InferError("evidence has probability zero")
-        joint = qref & eref
-        nodes = joint.node_count()
-        value = cp.manager.prob(joint) / p_ev
-    stats = _stats(cp, nodes, start)
+    eref = compile_query(cp, list(ev))  # TRUE without evidence
+    p_ev = cp.manager.prob(eref)
+    if p_ev <= 0.0:
+        raise InferError("evidence has probability zero")
+    joint = qref & eref
+    value = cp.manager.prob(joint) / p_ev
+    stats = _stats(cp, joint.node_count(), start)
     return InferenceResult("prob", value, _log(value), True, None, stats)
 
 

@@ -300,6 +300,18 @@ def test_impossible_evidence_is_exit_1(capsys):
         assert "error: evidence has probability zero" in err, argv
 
 
+def test_map_without_query_clauses_has_one_message(capsys, tmp_path):
+    path = tmp_path / "p.lpad"
+    path.write_text("a:0.5.\nevidence(a).\n")
+    errs = set()
+    for argv in (("map", str(path)), ("oracle", "map", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        errs.add(err)
+    assert errs == {"error: map needs at least one query choice variable "
+                    "(a map_query clause)\n"}
+
+
 def test_unsafe_variable_gets_the_validator_diagnostic(capsys, tmp_path):
     path = tmp_path / "unsafe.lpad"
     path.write_text("p(X):0.5 :- q(Y).\nq(a).\n")

@@ -7,7 +7,6 @@ import pytest
 
 from lpadc.compiler import (
     CompileError,
-    compile_atom,
     compile_program,
     compile_query,
     cone_order,
@@ -32,6 +31,10 @@ def _gp(text):
 
 def probs_of(gp, ci):
     return gp.choice_vars[ci].probs
+
+
+def formula(cp, atom):
+    return compile_query(cp, [Literal(atom)])
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +62,10 @@ def test_max_tasks_put_query_groups_on_top(kernel):
         m = cp.manager
         levels = [m.var_info(v) for v in m.level_order()]
         assert [info.group for info in levels] == [
-            ci for ci in want for _ in cp.encoding.group_vars(ci)
+            ci for ci in want for _ in cp.var_ids[ci]
         ]
         assert [info.is_query for info in levels] == [
-            ci in cp.query_cvs for ci in want for _ in cp.encoding.group_vars(ci)
+            ci in cp.query_cvs for ci in want for _ in cp.var_ids[ci]
         ]
         assert [info.index for info in levels if info.group == 0] == [0, 1]
 
@@ -96,8 +99,8 @@ def test_block_sizes(kernel):
     gp = _gp(THREE)
     # THREE: cv0 has 3 values (no null), cv1 has 3 (null + 2 heads)
     for task in ("prob", "mpe"):
-        enc = compile_program(gp, task=task).encoding
-        assert [len(enc.group_vars(ci)) for ci in (0, 1)] == [2, 2]
+        cp = compile_program(gp, task=task)
+        assert [len(cp.var_ids[ci]) for ci in (0, 1)] == [2, 2]
 
 
 def test_order_value_probabilities(kernel):
@@ -106,7 +109,7 @@ def test_order_value_probabilities(kernel):
         cp = compile_program(gp, task=task)
         for ci in (0, 1):
             got = [
-                cp.manager.prob(cp.encoding.value_bdd(ci, k))
+                cp.manager.prob(cp.value_bdd(ci, k))
                 for k in range(len(probs_of(gp, ci)))
             ]
             assert got == pytest.approx(probs_of(gp, ci), abs=1e-12)
@@ -115,8 +118,8 @@ def test_order_value_probabilities(kernel):
 
 def test_order_values_partition(kernel):
     cp = compile_program(_gp(THREE), task="prob")
-    m, enc = cp.manager, cp.encoding
-    values = [enc.value_bdd(0, k) for k in range(3)]
+    m = cp.manager
+    values = [cp.value_bdd(0, k) for k in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             assert (values[i] & values[j]).is_false
@@ -133,7 +136,7 @@ def test_order_chain_weights_have_unit_sum(kernel):
     cp = compile_program(_gp(THREE), task="prob")
     m = cp.manager
     for ci in (0, 1):
-        for v in cp.encoding.group_vars(ci):
+        for v in cp.var_ids[ci]:
             info = m.var_info(v)
             assert info.weight + info.zero_weight == pytest.approx(1.0, abs=1e-12)
 
@@ -158,7 +161,7 @@ def test_deterministic_fact_compiles_to_true(kernel):
     gp = _gp("f.\na:0.5 :- f.\n")
     cp = compile_program(gp)
     f = next(a for a in gp.atoms if a.pred == "f")
-    assert compile_atom(cp, f).is_true
+    assert formula(cp, f).is_true
 
 
 def test_unknown_atom_compiles_to_false(kernel):
@@ -166,17 +169,20 @@ def test_unknown_atom_compiles_to_false(kernel):
 
     gp = _gp("a:0.5.\n")
     cp = compile_program(gp)
-    assert compile_atom(cp, Atom("nope")).is_false
+    assert formula(cp, Atom("nope")).is_false
 
 
 def test_formulas_cached(kernel):
-    gp = _gp(THREE)
-    cp = compile_program(gp)
-    a = gp.atoms[0]
-    first = compile_atom(cp, a)
-    strata_after = cp.stats.strata_processed
-    assert compile_atom(cp, a).ref == first.ref
-    assert cp.stats.strata_processed == strata_after
+    # a second read rebuilds nothing: a rebuilt cyclic component would add
+    # its passes to fixpoint_iterations
+    cp = compile_program(_gp("a:0.5.\nb:0.4.\np :- a.\np :- q.\nq :- p.\nq :- b."))
+    p = parse_atom("p")
+    first = formula(cp, p)
+    formulas, passes = dict(cp.formulas), cp.fixpoint_iterations
+    assert passes > 0
+    assert formula(cp, p).ref == first.ref
+    assert cp.formulas == formulas
+    assert cp.fixpoint_iterations == passes
 
 
 def test_recursive_program_reaches_fixpoint(kernel):
@@ -192,10 +198,11 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
     from lpadc.parser import parse_atom
 
     q = parse_atom("path(a, c)")
-    got = cp.manager.prob(compile_atom(cp, q))
+    got = cp.manager.prob(formula(cp, q))
     want = exact_prob(gp, [Literal(q)])
     assert got == pytest.approx(want, abs=1e-12)
-    assert cp.stats.fixpoint_iterations > 1
+    # path's ground instances form no cycle here: no fixpoint pass
+    assert cp.fixpoint_iterations == 0
 
 
 def test_cyclic_component_iterates_to_fixpoint(kernel):
@@ -204,10 +211,11 @@ def test_cyclic_component_iterates_to_fixpoint(kernel):
     from lpadc.parser import parse_atom
 
     p = parse_atom("p")
-    got = cp.manager.prob(compile_atom(cp, p))
+    got = cp.manager.prob(formula(cp, p))
     assert got == pytest.approx(0.7, abs=1e-12)
     assert got == pytest.approx(exact_prob(gp, [Literal(p)]), abs=1e-12)
-    assert cp.stats.fixpoint_iterations > cp.stats.strata_processed
+    # two passes change p or q, and a third confirms the fixpoint
+    assert cp.fixpoint_iterations == 3
 
 
 def test_acyclic_atoms_take_one_pass_each(kernel):
@@ -215,8 +223,9 @@ def test_acyclic_atoms_take_one_pass_each(kernel):
     from lpadc.parser import parse_atom
 
     cp = compile_program(ground(gen_gh(6, 0)))
-    compile_atom(cp, parse_atom("a0"))
-    assert cp.stats.fixpoint_iterations == cp.stats.strata_processed == 7
+    formula(cp, parse_atom("a0"))
+    assert len(cp.formulas) == 7
+    assert cp.fixpoint_iterations == 0  # only cyclic components count
 
 
 def test_stratified_negation_compiles(kernel, ex4):
@@ -225,7 +234,7 @@ def test_stratified_negation_compiles(kernel, ex4):
     from lpadc.parser import parse_atom
 
     q = parse_atom("positive")
-    got = cp.manager.prob(compile_atom(cp, q))
+    got = cp.manager.prob(formula(cp, q))
     want = exact_prob(gp, [Literal(q)])
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -246,8 +255,8 @@ def test_creation_order_does_not_change_probabilities(kernel):
     base = compile_program(gp)
     flipped = compile_program(gp, creation_order=[1, 0])
     a = gp.atoms[0]
-    assert flipped.manager.prob(compile_atom(flipped, a)) == pytest.approx(
-        base.manager.prob(compile_atom(base, a)), abs=1e-12
+    assert flipped.manager.prob(formula(flipped, a)) == pytest.approx(
+        base.manager.prob(formula(base, a)), abs=1e-12
     )
 
 
@@ -259,7 +268,7 @@ def test_node_cap_threads_through(kernel):
     cp = compile_program(gp, node_cap=8)
     with pytest.raises(NodeLimitError):
         for a in gp.atoms:
-            compile_atom(cp, a)
+            formula(cp, a)
 
 
 # ---------------------------------------------------------------------------
@@ -416,5 +425,5 @@ def test_max_tasks_put_query_chains_in_post_order(monkeypatch):
     for cp, want in zip(compiled, wants):
         m = cp.manager
         assert [m.var_info(v).group for v in m.level_order()] == [
-            ci for ci in want for _ in cp.encoding.group_vars(ci)
+            ci for ci in want for _ in cp.var_ids[ci]
         ]

@@ -192,7 +192,7 @@ def test_stats_populated(kernel, ex1):
     assert (s.ground_atoms, s.ground_clauses, s.choice_vars) == (6, 3, 2)
     assert s.bool_vars == 3  # order encoding: 3 + 2 heads -> 2 + 1 chain vars
     assert s.bdd_nodes > 0
-    assert s.fixpoint_iterations >= 1
+    assert s.fixpoint_iterations == 0  # no cyclic component
     assert s.wall_time_s >= 0.0
 
 
@@ -276,6 +276,27 @@ def test_heads_summing_to_one_before_the_last_compile(kernel):
     assert res.assignment.as_dict() == first_maximiser(argmax) == {0: 0, 1: 0}
     assert prob_result(program, parse_atom("c")).value == pytest.approx(
         exact_cond_prob(gp, [Literal(parse_atom("c"))], ev), abs=1e-12)
+
+
+@pytest.mark.parametrize("src", [
+    "a:0.5; b:0.5; c:1e-300.\nevidence(c).\n",
+    "a:0.5; b:0.5; c:1e-300; e:1e-300.\nd:0.5.\nevidence(d).\n",
+])
+def test_a_head_below_the_rounding_of_the_heads_before_it_keeps_its_mass(kernel, src):
+    # 0.5 + 0.5 + 1e-300 is 1.0 in floats; the chain's suffix-sum weights
+    # still give c its mass, where conditional weights gave it 0 (abs=0.0,
+    # as approx would otherwise accept 0 for 1e-300)
+    program = parse_program(src)
+    gp = ground(program)
+    ev = list(program.evidence)
+    res = mpe(program)
+    want, argmax = exact_mpe(gp, ev)
+    assert res.value == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert res.log_value == pytest.approx(math.log(want), rel=1e-9, abs=0.0)
+    assert res.assignment.as_dict() == first_maximiser(argmax)
+    q = [Literal(parse_atom("c"))]
+    assert prob_result(program, q[0].atom).value == pytest.approx(
+        exact_cond_prob(gp, q, ev), rel=1e-9, abs=0.0)
 
 
 def test_negative_cycle_outside_the_evidence_cone_rejected(kernel):
@@ -494,7 +515,8 @@ def test_mpe_grounds_only_the_evidence_cone_and_every_choice():
 
 
 def test_tracer_patch_points_exist():
-    # perfbench/tracing.py wraps grounder.ground, GroundProgram.strata and
+    # perfbench/tracing.py wraps grounder.ground, GroundProgram.strata,
+    # compile_program, compile_query (also as infer imported them) and
     # BddManager.reorder_groups_front by name and reads the program the
     # compiler used from its last ground call; perfbench/worker.py reports
     # bdd.default_kernel().  A BDD operation or count must not call another
@@ -519,6 +541,8 @@ def test_tracer_patch_points_exist():
         "    gp = tracer.last_ground\n"
         "    assert gp is not None and len(gp.choice_vars) == res.stats.choice_vars, task\n"
         "    assert {'bdd.apply', 'bdd.dp'} <= names, (task, names)\n"
+        "    compile_spans = {'compiler.compile_program', 'compiler.compile_query'}\n"
+        "    assert compile_spans <= names, (task, names)\n"
         "    for row in tracer.spans:\n"
         "        parent = tracer.spans[row[3]][0] if row[3] >= 0 else None\n"
         "        assert row[0] not in ('bdd.apply', 'bdd.dp') or parent != row[0], (task, row)\n"
