@@ -283,6 +283,18 @@ class BddManager:
     def apply_not(self, a):
         return BddRef(self, a.ref ^ 1)
 
+    def cube(self, literals):
+        """The conjunction of (var_id, positive) literals over distinct
+        variables, built bottom-up with one node per literal."""
+        if len({v for v, _ in literals}) != len(literals):
+            raise BddError("a cube tests each variable once")
+        self._maybe_gc()
+        level = self._level_of
+        ref = TRUE
+        for v, positive in sorted(literals, key=lambda lit: level[lit[0]], reverse=True):
+            ref = self._mk(v, FALSE, ref) if positive else self._mk(v, ref, FALSE)
+        return BddRef(self, ref)
+
     def _mk(self, v, lo, hi):
         if lo == hi:
             return lo

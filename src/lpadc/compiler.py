@@ -97,13 +97,11 @@ class CompiledProgram:
         hit = self._value_cache.get(key)
         if hit is not None:
             return hit
-        m = self.manager
         ids = self.var_ids[ci]
-        out = m.true
-        for i in range(k):
-            out = out & m.nvar(ids[i])
-        if k < len(ids):
-            out = out & m.var(ids[k])
+        literals = [(v, False) for v in ids[:k]]
+        if k < len(ids):  # the last value is all bits clear
+            literals.append((ids[k], True))
+        out = self.manager.cube(literals)
         self._value_cache[key] = out
         return out
 

@@ -23,7 +23,9 @@ found exactly once.  The delta literal is joined first, the others after it
 in literal order.  Candidate atoms come from an index keyed on (pred,
 arity, position, constant) for the first argument already bound when a
 literal is joined, and on (pred, arity) when none is; only positions some
-literal probes while bound are indexed.
+literal probes while bound are indexed.  An instance's positive body
+literals are made from the derived atoms the join matched; only heads and
+negated literals are instantiated from the clause.
 
 With a demand, a static adornment pass first follows the calls from the
 demanded atoms (with choices, also from each head of each probabilistic
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .model import AnnotatedClause, Atom, GroundClause, Literal, Var
@@ -119,7 +121,8 @@ class GroundProgram:
         if self._strata is None:
             if self.demand is not None and _negative_predicate_cycle(self.program):
                 # the cycle may lie outside the demanded part
-                stratify(_ground_all(self.program))
+                clauses = self.program.clauses
+                stratify(_ground_all(self.program, [cl.variables() for cl in clauses]))
             self._strata = stratify(self)
         return self._strata
 
@@ -172,17 +175,15 @@ def _template(atom, slots):
 
 
 def _fill(template, env):
-    if isinstance(template, Atom):
-        return template
     pred, args = template
-    return Atom(pred, tuple(env[v] if is_var else v for is_var, v in args))
+    return Atom(pred, tuple([env[v] if is_var else v for is_var, v in args]))
 
 
 class _ClauseJoin:
     """What ground() needs of one source clause: the join plan for each
     positive literal as the delta, and templates for the instance."""
 
-    def __init__(self, clause, probed):
+    def __init__(self, clause, variables, probed):
         self.clause = clause
         self.positives = [lit.atom for lit in clause.body if not lit.negated]
         slots = {}
@@ -191,43 +192,55 @@ class _ClauseJoin:
                 if isinstance(t, Var):
                     slots.setdefault(t, len(slots))
         self.n_slots = len(slots)
-        self.unbound = [v for v in clause.variables() if v not in slots]
+        self.unbound = [v for v in variables if v not in slots]
         self.plans = [
             _plan(self.positives, i, slots, probed) for i in range(len(self.positives))
         ]
         if self.unbound:
             return
         self.heads = [(_template(a, slots), p) for a, p in clause.heads]
-        self.body = [
-            lit if lit.atom.is_ground() else (_template(lit.atom, slots), lit.negated)
-            for lit in clause.body
-        ]
+        # per body literal: the number of a positive literal, whose atom the
+        # join chooses, or a negated literal itself or its template
+        self.body = []
+        j = 0
+        for lit in clause.body:
+            if not lit.negated:
+                self.body.append(j)
+                j += 1
+            else:
+                self.body.append(lit if lit.atom.is_ground() else _template(lit.atom, slots))
 
-    def instance(self, env):
-        """(heads, body) under the slot values env."""
+    def instance(self, env, atoms, chosen):
+        """(heads, body) under the slot values env, where positive literal j
+        matched atoms[chosen[j]]."""
         if self.unbound:
             raise GroundingError(
                 "clause %d: unbound variable %s" % (self.clause.clause_id, self.unbound[0])
             )
-        heads = tuple((_fill(t, env), p) for t, p in self.heads)
-        body = tuple(
-            t if isinstance(t, Literal) else Literal(_fill(t[0], env), t[1])
+        heads = tuple([(t if t.__class__ is Atom else _fill(t, env), p) for t, p in self.heads])
+        body = tuple([
+            Literal(atoms[chosen[t]]) if t.__class__ is int
+            else t if t.__class__ is Literal else Literal(_fill(t, env), True)
             for t in self.body
-        )
+        ])
         return heads, body
 
 
-def _fixpoint(clauses):
-    """The least fixpoint of clauses by semi-naive evaluation: the derived
-    atoms in derivation order, and each clause's instances as (heads, body)
-    in grounding order (see the module docstring)."""
+def _fixpoint(clauses, variables):
+    """The least fixpoint of clauses, where variables[k] lists the variables
+    of clauses[k], by semi-naive evaluation: the derived atoms in derivation
+    order, and each clause's instances as (heads, body) in grounding order
+    (see the module docstring)."""
     probed = set()  # (pred, arity, position) some literal probes while bound
-    joins = [None if not cl.body and not cl.variables() else _ClauseJoin(cl, probed)
-             for cl in clauses]
+    joins = [None if not cl.body and not vs else _ClauseJoin(cl, vs, probed)
+             for cl, vs in zip(clauses, variables)]
     triggers = {}  # (pred, arity) -> [(clause number, positive literal number)]
     for ci, cj in enumerate(joins):
         for j, atom in enumerate(cj.positives if cj else ()):
             triggers.setdefault((atom.pred, len(atom.args)), []).append((ci, j))
+    indexed = {}  # (pred, arity) -> the positions some literal probes while bound
+    for key in probed:
+        indexed.setdefault(key[:2], []).append(key[2])
 
     atoms = []  # atom number -> Atom, in derivation order
     known = set()
@@ -244,13 +257,12 @@ def _fixpoint(clauses):
             atoms.append(a)
             key = (a.pred, len(a.args))
             index.setdefault(key, []).append(n)
-            for pos, t in enumerate(a.args):
-                if key + (pos,) in probed:
-                    index.setdefault(key + (pos, t), []).append(n)
+            for pos in indexed.get(key, ()):
+                index.setdefault(key + (pos, a.args[pos]), []).append(n)
 
     def join(steps, k, ranges, env, chosen, found, cj):
         if k == len(steps):
-            found.append((tuple(chosen), cj.instance(env)))
+            found.append((tuple(chosen), cj.instance(env, atoms, chosen)))
             return
         j, key, probe, ops = steps[k]
         if probe is not None:
@@ -275,7 +287,7 @@ def _fixpoint(clauses):
         if cj is None:
             add_instance(ci, (clauses[ci].heads, ()))
         elif not cj.positives:
-            add_instance(ci, cj.instance(()))
+            add_instance(ci, cj.instance((), atoms, ()))
     lo = 0
     while lo < len(atoms):
         hi = len(atoms)  # atoms [lo, hi) are the last round's delta
@@ -328,17 +340,17 @@ def _demand_atom(atom, adornment):
     )
 
 
-def _demand_program(program, demand):
+def _demand_program(program, demand, variables):
     """The demand rewrite of program for the demanded atoms, whose variables
     are free arguments, as (clauses, origins), or None when no predicate
     defined by a clause with variables is ever called with a free argument.
+    variables[ci] lists the variables of program clause ci.
     origins[k] is (source clause number, literals to drop from the front of
     each instance body) for a clause whose instances belong to the result,
     None for the rules that derive demand and guard atoms."""
-    with_vars = [bool(cl.variables()) for cl in program.clauses]
     rules = {}  # (pred, arity) -> [(clause number, head)] over clauses with variables
     for ci, cl in enumerate(program.clauses):
-        if with_vars[ci]:
+        if variables[ci]:
             for a, _ in cl.heads:
                 rules.setdefault(_key(a), []).append((ci, a))
     calls = set()  # (pred, arity, adornment)
@@ -353,7 +365,7 @@ def _demand_program(program, demand):
             work.append((key, adornment))
 
     seeds = {}  # demand atoms that hold unconditionally
-    for atom in [*demand, *(lit.atom for cl, v in zip(program.clauses, with_vars)
+    for atom in [*demand, *(lit.atom for cl, v in zip(program.clauses, variables)
                             if not v for lit in cl.body)]:
         if _key(atom) in rules:
             adornment = tuple(not isinstance(t, Var) for t in atom.args)
@@ -364,7 +376,7 @@ def _demand_program(program, demand):
         for ci, head in rules[key]:
             at_bound = {t for t, b in zip(head.args, adornment) if b and isinstance(t, Var)}
             cl = program.clauses[ci]
-            bound = tuple(v for v in dict.fromkeys(cl.variables()) if v in at_bound)
+            bound = tuple(v for v in dict.fromkeys(variables[ci]) if v in at_bound)
             feeds.append((ci, bound, head, adornment))
             if (ci, bound) not in guards:
                 guards[ci, bound] = steps = _sideways(cl, bound)
@@ -377,12 +389,13 @@ def _demand_program(program, demand):
         return AnnotatedClause(clause_id=-1, heads=((head, 1.0),), body=tuple(body))
 
     def guard(ci, bound):
-        return Atom(("guard", ci, bound), bound)
+        # names, not Vars, in the predicate: every index probe hashes it
+        return Atom(("guard", ci, tuple(v.name for v in bound)), bound)
 
     clauses = [rule(a, ()) for a in seeds]
     origins = [None] * len(clauses)
     for ci, cl in enumerate(program.clauses):
-        if not with_vars[ci]:
+        if not variables[ci]:
             clauses.append(cl)
             origins.append((ci, 0))
     for ci, bound, head, adornment in feeds:
@@ -490,12 +503,22 @@ def _ground_program(program, instances, atoms, demand=None, choices=True):
     return GroundProgram(program, ground_clauses, atoms, demand, choices)
 
 
-def _ground_all(program):
-    """The whole ground program.  GroundProgram.strata grounds through this,
-    not ground(), so every call of ground() is one a caller made and uses
-    (tools that wrap ground() see only those)."""
-    atoms, instances = _fixpoint(program.clauses)
+def _ground_all(program, variables):
+    """The whole ground program, where variables[ci] lists the variables of
+    clause ci.  GroundProgram.strata grounds through this, not ground(), so
+    every call of ground() is one a caller made and uses (tools that wrap
+    ground() see only those)."""
+    atoms, instances = _fixpoint(program.clauses, variables)
     return _ground_program(program, instances, atoms)
+
+
+def _has_constant(program):
+    """Whether an atom of the program, its evidence or its queries has a
+    constant argument; the search stops at the first."""
+    atoms = chain.from_iterable(
+        [a for a, _ in cl.heads] + [lit.atom for lit in cl.body] for cl in program.clauses)
+    atoms = chain(atoms, (lit.atom for lit in program.evidence), program.queries)
+    return any(not isinstance(t, Var) for a in atoms for t in a.args)
 
 
 def ground(program, demand=None, choices=False):
@@ -503,28 +526,36 @@ def ground(program, demand=None, choices=False):
     part of it those atoms depend on; with choices as well, the part that
     they and every probabilistic clause's instances depend on.  Deterministic
     for a fixed input (see the module docstring for the order)."""
-    non_ground = [cl for cl in program.clauses if cl.variables()]
-    if non_ground and not program.constants():
+    variables = [cl.variables() for cl in program.clauses]
+    non_ground = [cl for cl, vs in zip(program.clauses, variables) if vs]
+    if non_ground and not _has_constant(program):
         raise GroundingError(
             "clause %d has variables but the program has no constants"
             % non_ground[0].clause_id
         )
     if demand is None:
-        return _ground_all(program)
+        return _ground_all(program, variables)
     demand = tuple(demand)
     probabilistic = [choices and not cl.is_deterministic for cl in program.clauses]
     patterns = tuple(a for cl, p in zip(program.clauses, probabilistic) if p
                      for a, _ in cl.heads)
-    rewrite = _demand_program(program, demand + patterns)
+    rewrite = _demand_program(program, demand + patterns, variables)
     if rewrite is None:
-        instances = _fixpoint(program.clauses)[1]
+        instances = _fixpoint(program.clauses, variables)[1]
     else:
         clauses, origins = rewrite
+        # a copy of a source clause has its variables: a guard's are head
+        # variables
+        clause_vars = [cl.variables() if origin is None else variables[origin[0]]
+                       for cl, origin in zip(clauses, origins)]
         instances = [[] for _ in program.clauses]
-        for origin, insts in zip(origins, _fixpoint(clauses)[1]):
-            if origin is not None:
-                ci, drop = origin
-                instances[ci].extend((heads, body[drop:]) for heads, body in insts)
+        for origin, insts in zip(origins, _fixpoint(clauses, clause_vars)[1]):
+            if origin is None:
+                continue
+            ci, drop = origin
+            if drop:
+                insts = [(heads, body[drop:]) for heads, body in insts]
+            instances[ci].extend(insts)
     seeds = demand + tuple(a for p, insts in zip(probabilistic, instances) if p
                            for heads, _ in insts for a, _ in heads)
     instances, atoms = _cone(instances, seeds)

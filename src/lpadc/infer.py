@@ -22,7 +22,8 @@ whose best selection comes first.  Value, log_value and selection therefore
 do not depend on the variable order.
 
 Maximization reports the joint probability P(x, e) by default; pass
-normalize=True for P(x | e).  The pass runs in log space and the result
+normalize=True for P(x | e), which is clamped at 1 where rounding lifts the
+ratio above it.  The pass runs in log space and the result
 carries log_value next to value = exp(log_value), so a selection keeps a
 meaningful score when its probability underflows a float.  Assignments
 cover every query choice variable: every one has a chain, and the pass
@@ -191,7 +192,8 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
         p_ev = cp.manager.prob(eref)
         if p_ev <= 0.0:
             raise InferError("evidence probability underflows to zero")
-        log_value -= math.log(p_ev)
+        # P(x | e) <= 1: a ratio that rounds above 1 reads 1
+        log_value = min(log_value - math.log(p_ev), 0.0)
     return InferenceResult(task, math.exp(log_value), log_value, normalize,
                            Assignment.of(gp, choices), _stats(cp, eref.node_count(), start))
 

@@ -46,7 +46,7 @@ class Var:
         return other.__class__ is Var and self.name == other.name
 
     def __hash__(self):
-        return hash((self.name,))
+        return hash(self.name)
 
     def __repr__(self):
         return "Var(%r)" % (self.name,)
@@ -328,17 +328,14 @@ def validate(program):
                     "head probabilities sum to %r > 1" % cl.head_sum,
                 )
             )
-        pos_vars = set()
-        for lit in cl.body:
-            if not lit.negated:
-                pos_vars.update(v.name for v in lit.atom.variables())
-        unsafe = set()
-        for a, _ in cl.heads:
-            unsafe.update(v.name for v in a.variables())
-        for lit in cl.body:
-            if lit.negated:
-                unsafe.update(v.name for v in lit.atom.variables())
-        unsafe -= pos_vars
+        # every head variable and every variable of a negated literal must
+        # occur in a positive body literal
+        unsafe = {v.name for a, _ in cl.heads for v in a.variables()}
+        if cl.body:
+            unsafe.update(v.name for lit in cl.body if lit.negated
+                          for v in lit.atom.variables())
+            unsafe.difference_update(v.name for lit in cl.body if not lit.negated
+                                     for v in lit.atom.variables())
         if unsafe:
             diags.append(
                 Diagnostic(

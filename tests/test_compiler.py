@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lpadc.bdd import BddError
 from lpadc.compiler import (
     CompileError,
     compile_program,
@@ -127,6 +128,26 @@ def test_order_values_partition(kernel):
     for f in values:
         union = union | f
     assert union.is_true
+
+
+def test_value_cube_is_the_conjunction_of_its_bits(kernel):
+    # value k of a chain is "bits 0..k-1 clear, bit k set", built as one
+    # cube; it is the same canonical node as the conjunction of the bits
+    gp = _gp("a:0.1; b:0.2; c:0.3; d:0.4.\n")
+    cp = compile_program(gp, task="prob")
+    m = cp.manager
+    ids = cp.var_ids[0]
+    assert len(ids) == 3
+    for k in range(4):
+        got = cp.value_bdd(0, k)
+        want = m.true
+        for v in ids[:k]:
+            want = want & m.nvar(v)
+        if k < len(ids):
+            want = want & m.var(ids[k])
+        assert got.ref == want.ref, k
+    with pytest.raises(BddError):
+        m.cube([(ids[0], True), (ids[0], False)])
 
 
 def test_order_chain_weights_have_unit_sum(kernel):

@@ -299,6 +299,10 @@ def test_ground_matches_brute_force_fixpoint():
     assert chained > 100  # rules often join against what rules derived
 
 
+def _variables(program):
+    return [cl.variables() for cl in program.clauses]
+
+
 def _key(gc):
     return gc.clause_id, gc.heads, gc.body
 
@@ -330,7 +334,7 @@ def test_demand_grounds_exactly_the_cone():
             ids[gc.clause_id] = gc.grounding_id + 1
         assert format_ground(ground(program, demand)) == format_ground(gp), seed
         ruleless += demand[-1] not in full.rules_by_head
-        if grounder._demand_program(program, tuple(demand)) is None:
+        if grounder._demand_program(program, tuple(demand), _variables(program)) is None:
             plain += 1
         else:
             rewritten += 1
@@ -365,7 +369,8 @@ def test_choices_demand_keeps_the_whole_programs_choice_variables():
         smaller += len(gp.ground_clauses) < len(full.ground_clauses)
         patterns = tuple(a for cl in program.clauses if not cl.is_deterministic
                          for a, _ in cl.heads)
-        rewritten += grounder._demand_program(program, tuple(demand) + patterns) is not None
+        rewritten += grounder._demand_program(program, tuple(demand) + patterns,
+                                                _variables(program)) is not None
     assert smaller > 150 and rewritten > 150, (smaller, rewritten)
 
 
@@ -391,7 +396,7 @@ def test_demand_grounding_takes_the_rewrite_only_for_free_calls():
     for family, size, rewrite in (("graph", 30, True), ("gh", 9, False),
                                   ("blood", 2, False)):
         program = benchgen.generate(family, size, 0)
-        chosen = grounder._demand_program(program, program.queries)
+        chosen = grounder._demand_program(program, program.queries, _variables(program))
         assert (chosen is not None) == rewrite, family
 
 

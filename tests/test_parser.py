@@ -103,6 +103,27 @@ def test_variables_parse_as_vars():
     assert head.args[1] == "c"
 
 
+@pytest.mark.parametrize(
+    "spaced,compact",
+    [
+        ("p( a , X ) :- q(X,\ta).", "p(a,X) :- q(X,a)."),
+        ("p(a, % c\n b):0.5.", "p(a,b):0.5."),
+        ("map_query e(1, 2):0.3.", "map_query e(1,2):0.3."),
+    ],
+)
+def test_flat_atom_spellings_parse_alike(spaced, compact):
+    # spacing inside an argument list, or a comment that stops the atom
+    # being one token, gives the same program
+    assert parse_program(spaced) == parse_program(compact)
+
+
+def test_flat_atom_token_boundaries():
+    assert parse_program("map_query e(1, 2):0.3.").clauses[0].is_query
+    program = parse_program("queryx(a).\nevidence_of(b).\nquery(a).")
+    assert [str(cl.heads[0][0]) for cl in program.clauses] == ["queryx(a)", "evidence_of(b)"]
+    assert [str(a) for a in program.queries] == ["a"]
+
+
 def test_parse_atom_and_literal_helpers():
     assert str(parse_atom("path(0, 3)")) == "path(0,3)"
     lit = parse_literal("\\+ blue(b1)")
@@ -145,6 +166,14 @@ def test_parse_atom_and_literal_helpers():
          "<atom>:1:5: expected a term, found ')'", (1, 5)),
         (parse_literal, "\\+",
          "<literal>:1:3: expected 'IDENT', found 'end of input'", (1, 3)),
+        # a flat atom where a term or the end of a clause belongs reads as
+        # its name followed by '('
+        (parse_program, "quer(paYh(0,3)).",
+         "<string>:1:10: expected ')', found '('", (1, 10)),
+        (parse_program, "a e(1,2).",
+         "<string>:1:3: expected '.', found 'e'", (1, 3)),
+        (parse_program, "p(q(a)).",
+         "<string>:1:4: expected ')', found '('", (1, 4)),
     ],
 )
 def test_parse_error_messages_and_positions(parse, src, message, position):
