@@ -10,10 +10,16 @@ complement moves to the incoming reference.
 
 Every variable carries a factor applied on the 1-branch and one on the
 0-branch during weighted counting (the order encoding uses (pi, 1 - pi)),
-a group id (the owning choice variable), an index inside the group and a
-query flag.  The count memoizes per node the pair (count of f, count of
-not f), each summed from the children's pairs, so it holds for any weights
-and a complemented edge reads the other half instead of subtracting.
+a group id (the owning choice variable) and an index inside the group.
+Which groups are query groups is the caller's to say: map_best takes
+their chains as an argument.  The count memoizes per node the pair (count
+of f, count of not f), each summed from the children's pairs, so it holds
+for any weights and a complemented edge reads the other half instead of
+subtracting.
+
+The passes recurse once per level, so a BddManager raises the
+interpreter's recursion limit for the whole process, to 4 x variables +
+1,000 (at least 5,000), and never lowers it.
 
 External code holds :class:`BddRef` handles.  Live handles pin their nodes:
 garbage collection (a mark-and-sweep triggered by a node-count threshold)
@@ -69,16 +75,15 @@ def _near(a, b):
 
 
 class BddVarInfo:
-    __slots__ = ("var_id", "level", "group", "index", "weight", "zero_weight", "is_query")
+    __slots__ = ("var_id", "level", "group", "index", "weight", "zero_weight")
 
-    def __init__(self, var_id, level, group, index, weight, zero_weight, is_query):
+    def __init__(self, var_id, level, group, index, weight, zero_weight):
         self.var_id = var_id
         self.level = level
         self.group = group
         self.index = index
         self.weight = weight
         self.zero_weight = zero_weight
-        self.is_query = is_query
 
 
 class BddRef:
@@ -147,7 +152,6 @@ class BddManager:
         self._w0 = []
         self._group = []
         self._gindex = []
-        self._isq = []
         self._level_of = []
         self._var_at = []  # per level: the variable there
         self._and_cache = {}
@@ -219,7 +223,7 @@ class BddManager:
 
     # ---- variables ----
 
-    def new_var(self, group, index, weight, zero_weight=None, is_query=False):
+    def new_var(self, group, index, weight, zero_weight=None):
         """Add a Boolean variable at the bottom of the order.
 
         weight multiplies the 1-branch during weighted counting and
@@ -232,7 +236,6 @@ class BddManager:
         self._w0.append(1.0 - weight if zero_weight is None else zero_weight)
         self._group.append(group)
         self._gindex.append(index)
-        self._isq.append(bool(is_query))
         self._level_of.append(len(self._var_at))
         self._var_at.append(v)
         self._uniq.append({})
@@ -259,7 +262,6 @@ class BddManager:
             index=self._gindex[var_id],
             weight=self._w1[var_id],
             zero_weight=self._w0[var_id],
-            is_query=self._isq[var_id],
         )
 
     def level_order(self):
@@ -405,9 +407,11 @@ class BddManager:
         self._prob_memo[n] = res
         return res
 
-    def map_best(self, a):
+    def map_best(self, a, chains):
         """Max-product pass over the query chains, in log space.
 
+        chains maps each query group id to its variable ids in chain order,
+        the order of its bits; the order of its keys does not matter.
         Returns (log_value, choices).  log_value is the log of the maximum,
         over values of the query groups, of the probability of those values
         times the probability of `a` given them.  choices maps every query
@@ -416,11 +420,12 @@ class BddManager:
         positions, compared group by group in increasing group id, come
         first.  So the pick does not depend on the variable order.
 
-        The contract, which the compiler's encoding meets: every query
-        variable sits above every other one, each query group's variables
-        are adjacent and in chain order (bit j set means "value at position
-        j", all bits clear the last value), and `a` depends on a group only
-        through the value it selects.  A path can then enter a group only at
+        The contract, which the compiler's encoding meets: the chains,
+        concatenated in level order, fill the top levels of the diagram, so
+        every query variable sits above every other one and each chain's
+        variables are adjacent and in chain order (bit j set means "value at
+        position j", all bits clear the last value); BddError otherwise.
+        `a` depends on a group only through the value it selects.  A path can then enter a group only at
         its first bit and leaves it right after a 1-branch.  With
         m_g[j] = max(pi_j, (1 - pi_j) m_g[j+1]) and m_g[last] = 1 (the best
         conditional value once bits 0..j-1 are clear), a node testing bit j
@@ -440,22 +445,13 @@ class BddManager:
         group order (a group a path jumps at its first best value) and keeps
         the branch whose selection comes first.
         """
-        isq, group, order = self._isq, self._group, self._var_at
-        groups = []  # in level order: (group id, var ids)
-        for v in order:
-            if not isq[v]:
-                break
-            g = group[v]
-            if not groups or groups[-1][0] != g:
-                groups.append((g, []))
-            groups[-1][1].append(v)
+        level = self._level_of
+        groups = sorted(chains.items(), key=lambda item: level[item[1][0]])
         n_query = sum(len(ids) for _, ids in groups)
-        if len({g for g, _ in groups}) != len(groups) or any(
-            isq[v] for v in order[n_query:]
-        ):
+        if [v for _, ids in groups for v in ids] != self._var_at[:n_query]:
             raise BddError(
-                "map_best needs each query group's variables adjacent and "
-                "above all other variables"
+                "map_best needs each query chain's variables adjacent, in "
+                "chain order and above all other variables"
             )
         where = {}  # query var -> (group position, bit)
         lw1, lw0, lm, best = [], [], [], []  # per group position, by bit

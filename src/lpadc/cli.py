@@ -47,6 +47,10 @@ def _query_atom(args, program):
     if getattr(args, "query", None):
         return parse_atom(args.query)
     if program.queries:
+        if len(program.queries) > 1:
+            rest = ", ".join("query(%s)" % q for q in program.queries[1:])
+            print("warning: only the first query directive is answered, not %s; "
+                  "pass --query to ask for another" % rest, file=sys.stderr)
         return program.queries[0]
     raise ParseError("no query: pass --query or add a query directive")
 

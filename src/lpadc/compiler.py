@@ -24,7 +24,8 @@ values.
 MPE and MAP use the same encoding.  Their query choice variables' chains are
 created first, in the relative order of the same post-order (or of the
 caller's creation_order), so they sit on the top levels of the diagram,
-which is the layout the max-product pass in BddManager.map_best needs.
+which is the layout the max-product pass in BddManager.map_best needs; the
+caller hands that pass the query chains, cp.var_ids of cp.query_cvs.
 Every choice variable gets a chain, for every task: a creation_order is
 completed as post_order completes the cone, with the variables it does not
 list in index order.  The pass settles ties by index order, not level
@@ -84,10 +85,9 @@ class CompiledProgram:
         rest = [0.0] * (len(probs) + 1)
         for i in reversed(range(len(probs))):
             rest[i] = probs[i] + rest[i + 1]
-        is_query = ci in self.query_cvs
         return tuple(
             self.manager.new_var(group=ci, index=i, weight=probs[i] / rest[i],
-                                 zero_weight=rest[i + 1] / rest[i], is_query=is_query)
+                                 zero_weight=rest[i + 1] / rest[i])
             for i in range(len(probs) - 1)
         )
 

@@ -5,14 +5,15 @@ variable is a chain of Boolean variables (see lpadc.compiler), created in
 post-order from the query and evidence atoms, and read every formula
 through compile_query.  A marginal is the weighted count of query and
 evidence over that of the evidence, whose diagram is TRUE when there is
-none.  MPE and MAP put the query choice variables' chains (all of them for
-MPE, the map_query clauses' by default for MAP; compiler.query_cvs_of) on
-the top levels and run one max-product pass over the evidence BDD
-(BddManager.map_best): within a query chain it maximizes over the values a
-path can still select, and at the first non-query node it switches to the
-weighted count of the rest.  The pass is sound because a
-compiled formula depends on a chain only through the value it selects, so a
-path enters a chain at its first bit and leaves it after a 1-branch.
+none.  For MPE and MAP the compile creates the query choice variables'
+chains (all of them for MPE, the map_query clauses' by default for MAP;
+compiler.query_cvs_of) first, so they sit on the top levels, and hands
+them to one max-product pass over the evidence BDD (BddManager.map_best):
+within a query chain it maximizes over the values a path can still
+select, and at the first non-query node it switches to the weighted count
+of the rest.  The pass is sound because a compiled formula depends on a
+chain only through the value it selects, so a path enters a chain at its
+first bit and leaves it after a 1-branch.
 
 Of several equal maximisers the first is reported: compare the choice
 variables in index order and each one's values in index order, which is
@@ -187,7 +188,8 @@ def _best_result(program, task, evidence, query_cvs, normalize, node_cap, gp,
         # every variable weight is positive, so an unsatisfiable BDD is the
         # only way the evidence can have probability zero
         raise InferError("evidence has probability zero")
-    log_value, choices = cp.manager.map_best(eref)
+    chains = {ci: cp.var_ids[ci] for ci in cp.query_cvs}
+    log_value, choices = cp.manager.map_best(eref, chains)
     if normalize:
         p_ev = cp.manager.prob(eref)
         if p_ev <= 0.0:

@@ -153,7 +153,8 @@ class AnnotatedClause(ValueRecord):
 
     @property
     def is_deterministic(self):
-        return self.n_values == 1
+        # n_values == 1 with one head sum: has_null is head_sum < 1 - HEAD_SUM_TOL
+        return len(self.heads) + (self.head_sum < 1.0 - HEAD_SUM_TOL) == 1
 
     def variables(self):
         out = []
@@ -188,30 +189,6 @@ class Program(ValueRecord):
         self.evidence = evidence  # (Literal, ...), conjunction
         self.queries = queries  # (Atom, ...)
         self.warnings = warnings
-
-    def constants(self):
-        out = []
-        seen = set()
-
-        def add(t):
-            if not isinstance(t, Var) and t not in seen:
-                seen.add(t)
-                out.append(t)
-
-        for cl in self.clauses:
-            for a, _ in cl.heads:
-                for t in a.args:
-                    add(t)
-            for lit in cl.body:
-                for t in lit.atom.args:
-                    add(t)
-        for lit in self.evidence:
-            for t in lit.atom.args:
-                add(t)
-        for a in self.queries:
-            for t in a.args:
-                add(t)
-        return out
 
 
 class GroundClause(AnnotatedClause):

@@ -139,7 +139,7 @@ def chain_case(seed, manager, ties=False):
         ids, denom = [], 1.0
         for j in range(bits):
             w = probs[j] / denom
-            ids.append(manager.new_var(g, j, w, is_query=g < n_query))
+            ids.append(manager.new_var(g, j, w))
             denom *= 1.0 - w
         groups.append((probs, ids, g < n_query))
     tree = _value_tree(rng, groups, depth=rng.randint(1, 4))

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from lpadc.grounder import ground
-from lpadc.model import AnnotatedClause, Atom, Literal, Program
+from lpadc.model import AnnotatedClause, Atom, Literal, Program, Var
 from lpadc.oracle import exact_prob
 from lpadc.parser import parse_atom, parse_program
 
@@ -151,12 +151,39 @@ def random_first_order_src(seed):
     return "\n".join(lines) + "\n"
 
 
+def constants(program):
+    """The constants of a program in the order its clauses, evidence and
+    queries first use them."""
+    out = []
+    seen = set()
+
+    def add(t):
+        if not isinstance(t, Var) and t not in seen:
+            seen.add(t)
+            out.append(t)
+
+    for cl in program.clauses:
+        for a, _ in cl.heads:
+            for t in a.args:
+                add(t)
+        for lit in cl.body:
+            for t in lit.atom.args:
+                add(t)
+    for lit in program.evidence:
+        for t in lit.atom.args:
+            add(t)
+    for a in program.queries:
+        for t in a.args:
+            add(t)
+    return out
+
+
 def random_demand(program, gp, seed):
     """Two possible atoms of gp (fewer if it has fewer) and one ground atom
     over the program's predicates and constants that has no rules."""
     rng = random.Random(seed ^ 0x5EED)
     demand = rng.sample(gp.atoms, min(2, len(gp.atoms)))
-    consts = program.constants()
+    consts = constants(program)
     possible = set(gp.atoms)
     for _ in range(20):
         pred, arity = rng.choice(_PREDS)

@@ -138,23 +138,26 @@ def test_prob_of_a_complement_near_zero_keeps_its_digits(kernel):
 
 def test_map_best_boundary_keeps_a_complement_near_zero(kernel):
     m = BddManager()
-    q = m.var(m.new_var(0, 0, 0.7, is_query=True))
+    q = m.new_var(0, 0, 0.7)
     big = _big_or(m, 60)
-    log_value, choices = m.map_best(q & ~big)
+    log_value, choices = m.map_best(m.var(q) & ~big, {0: [q]})
     assert math.isclose(log_value, math.log(0.7) - 60 * math.log(2), rel_tol=1e-12)
     assert choices == {0: 0}
 
 
 def _check_map_best(ties):
     """Compare map_best with enumeration on 150 chain cases: the value, and
-    the pick against the first of the maximisers in group order.  Returns
-    how many cases have several maximisers."""
+    the pick against the first of the maximisers in group order.  The order
+    of the chains' keys changes neither.  Returns how many cases have
+    several maximisers."""
     tied = 0
     for seed in range(150):
         m = BddManager()
         groups, tree, ref = bddcases.chain_case(seed, m, ties=ties)
         want, score = bddcases.brute_map(groups, tree)
-        log_value, choices = m.map_best(ref)
+        chains = {g: ids for g, (_, ids, q) in enumerate(groups) if q}
+        log_value, choices = m.map_best(ref, chains)
+        assert m.map_best(ref, dict(reversed(chains.items()))) == (log_value, choices)
         assert math.isclose(math.exp(log_value), want, rel_tol=1e-12,
                             abs_tol=1e-300), "seed %d" % seed
         if want == 0.0:
@@ -184,19 +187,19 @@ def test_map_best_reports_ties(kernel):
 def test_map_best_picks_the_first_of_a_tie_between_groups(kernel):
     # each group's best value is unique, but two selections score 0.24
     m = BddManager()
-    a = m.var(m.new_var(0, 0, 0.6, is_query=True))
-    b = m.var(m.new_var(1, 0, 0.4, is_query=True))
-    assert m.map_best((a & b) | (~a & ~b))[1] == {0: 0, 1: 0}
-    assert m.map_best(~a & ~b)[1] == {0: 1, 1: 1}
+    chains = {0: [m.new_var(0, 0, 0.6)], 1: [m.new_var(1, 0, 0.4)]}
+    a, b = m.var(chains[0][0]), m.var(chains[1][0])
+    assert m.map_best((a & b) | (~a & ~b), chains)[1] == {0: 0, 1: 0}
+    assert m.map_best(~a & ~b, chains)[1] == {0: 1, 1: 1}
     # a summed-out group splits the tie
     c = m.var(m.new_var(2, 0, 0.5))
-    assert m.map_best((~a & ~b) | (a & b & c))[1] == {0: 1, 1: 1}
+    assert m.map_best((~a & ~b) | (a & b & c), chains)[1] == {0: 1, 1: 1}
     # group 1 sits above group 0; of the two selections scoring 0.25 the
     # first in group order, not in level order, sets group 0 first
     m = BddManager()
-    b = m.var(m.new_var(1, 0, 0.5, is_query=True))
-    a = m.var(m.new_var(0, 0, 0.5, is_query=True))
-    log_value, choices = m.map_best((a & ~b) | (~a & b))
+    chains = {1: [m.new_var(1, 0, 0.5)], 0: [m.new_var(0, 0, 0.5)]}
+    a, b = m.var(chains[0][0]), m.var(chains[1][0])
+    log_value, choices = m.map_best((a & ~b) | (~a & b), chains)
     assert math.isclose(log_value, math.log(0.25), rel_tol=1e-12)
     assert choices == {0: 0, 1: 1}
 
@@ -205,9 +208,8 @@ def test_map_best_picks_the_first_of_a_groups_remaining_values(kernel):
     # one group with values 0.5, 0.25 and 0.25; ruling out the first leaves
     # two equal maximisers, the first of which is chain position 1
     m = BddManager()
-    x0 = m.var(m.new_var(0, 0, 0.5, is_query=True))
-    m.new_var(0, 1, 0.5, is_query=True)
-    log_value, choices = m.map_best(~x0)
+    chain = [m.new_var(0, 0, 0.5), m.new_var(0, 1, 0.5)]
+    log_value, choices = m.map_best(~m.var(chain[0]), {0: chain})
     assert math.isclose(log_value, math.log(0.25), rel_tol=1e-12)
     assert choices == {0: 1}
 
@@ -215,9 +217,31 @@ def test_map_best_picks_the_first_of_a_groups_remaining_values(kernel):
 def test_map_best_rejects_query_vars_below_others(kernel):
     m = BddManager()
     m.new_var(0, 0, 0.5)
-    q = m.new_var(1, 0, 0.5, is_query=True)
+    q = m.new_var(1, 0, 0.5)
     with pytest.raises(BddError):
-        m.map_best(m.var(q))
+        m.map_best(m.var(q), {1: [q]})
+
+
+def test_map_best_rejects_chains_off_the_top_levels(kernel):
+    # groups 0 and 2 are query chains of two bits; group 1 is summed out
+    m = BddManager()
+    q0 = [m.new_var(0, 0, 0.5), m.new_var(0, 1, 0.5)]
+    q2 = [m.new_var(2, 0, 0.5), m.new_var(2, 1, 0.5)]
+    r = m.new_var(1, 0, 0.5)
+    f = m.var(q0[1]) & m.var(q2[0]) & m.var(r)
+    assert m.map_best(f, {0: q0, 2: q2})[1] == {0: 1, 2: 0}
+    # a chain's bits given out of chain order
+    with pytest.raises(BddError):
+        m.map_best(f, {0: q0[::-1], 2: q2})
+    # a non-query group above the query chains
+    m.reorder_groups_front([1])
+    with pytest.raises(BddError):
+        m.map_best(f, {0: q0, 2: q2})
+    # a non-query variable between two query chains
+    m.reorder_groups_front([0])
+    assert [m.var_info(v).group for v in m.level_order()] == [0, 0, 1, 2, 2]
+    with pytest.raises(BddError):
+        m.map_best(f, {0: q0, 2: q2})
 
 
 def test_reorder_preserves_eval(kernel):

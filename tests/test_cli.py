@@ -57,6 +57,20 @@ def test_prob_query_flag(capsys, tmp_path):
     assert first_value(out) == pytest.approx(0.15, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", [["prob"], ["oracle", "prob"]])
+def test_prob_warns_of_unanswered_query_directives(capsys, tmp_path, command):
+    path = tmp_path / "p.lpad"
+    path.write_text("a:0.3.\nb:0.6 :- a.\nc:0.5.\nquery(a).\nquery(b).\nquery(c).\n")
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 0 and out == "value: 0.3\n"
+    assert err == ("warning: only the first query directive is answered, not "
+                   "query(b), query(c); pass --query to ask for another\n")
+    # --query picks the atom, so no directive goes unanswered
+    code, out, err = run(capsys, *command, str(path), "--query", "b")
+    assert code == 0 and first_value(out) == pytest.approx(0.18, abs=1e-12)
+    assert err == ""
+
+
 def test_prob_needs_some_query(capsys, tmp_path):
     path = tmp_path / "p.lpad"
     path.write_text("a:0.3.\n")
@@ -457,7 +471,8 @@ def test_bench_to_file_with_map(capsys, tmp_path):
                        "--fraction", "0.5", "--seeds", "2",
                        "--out", str(target))
     assert code == 0 and out == ""
-    rows = list(csv.DictReader(target.open()))
+    with target.open() as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 4  # 2 seeds x (prob + map)
     assert {r["task"] for r in rows} == {"prob", "map"}
     assert all(r["status"] == "ok" for r in rows)

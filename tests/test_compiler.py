@@ -45,8 +45,12 @@ def formula(cp, atom):
 def test_prob_task_uses_order_everywhere(kernel):
     cp = compile_program(_gp(THREE), task="prob")
     assert cp.query_cvs == frozenset()
+    # no query chain: a max-product pass over the compile's query chains
+    # picks nothing and reads the weighted count
     m = cp.manager
-    assert not any(m.var_info(v).is_query for v in m.level_order())
+    f = formula(cp, parse_atom("a"))
+    log_value, choices = m.map_best(f, {ci: cp.var_ids[ci] for ci in cp.query_cvs})
+    assert choices == {} and log_value == math.log(m.prob(f))
 
 
 def test_max_tasks_put_query_groups_on_top(kernel):
@@ -65,9 +69,9 @@ def test_max_tasks_put_query_groups_on_top(kernel):
         assert [info.group for info in levels] == [
             ci for ci in want for _ in cp.var_ids[ci]
         ]
-        assert [info.is_query for info in levels] == [
-            ci in cp.query_cvs for ci in want for _ in cp.var_ids[ci]
-        ]
+        # the top levels hold exactly the query chains
+        n_query = sum(len(cp.var_ids[ci]) for ci in cp.query_cvs)
+        assert {info.group for info in levels[:n_query]} == cp.query_cvs
         assert [info.index for info in levels if info.group == 0] == [0, 1]
 
 

@@ -18,7 +18,7 @@ from lpadc.grounder import (
 from lpadc.model import NULL, Atom, Literal, Var
 from lpadc.parser import parse_atom, parse_program
 
-from randprog import backward_cone, random_demand, random_first_order_src
+from randprog import backward_cone, constants, random_demand, random_first_order_src
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -248,7 +248,7 @@ def _brute_force_ground(program):
     """Least fixpoint over every substitution of constants for a clause's
     variables: an instance is kept when all its positive body atoms are
     possible atoms, and its heads become possible atoms."""
-    consts = program.constants()
+    consts = constants(program)
     kept, possible = set(), set()
     changed = True
     while changed:

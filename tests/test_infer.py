@@ -471,8 +471,8 @@ def test_tied_mpe_takes_one_pass_and_no_new_node(kernel, family, size, monkeypat
         live.append(cp.manager.live_nodes())
         return ref
 
-    def best(manager, a):
-        out = real_best(manager, a)
+    def best(manager, a, chains):
+        out = real_best(manager, a, chains)
         passes.append(out[1])
         return out
 
