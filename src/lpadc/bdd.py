@@ -425,8 +425,9 @@ class BddManager:
         every query variable sits above every other one and each chain's
         variables are adjacent and in chain order (bit j set means "value at
         position j", all bits clear the last value); BddError otherwise.
-        `a` depends on a group only through the value it selects.  A path can then enter a group only at
-        its first bit and leaves it right after a 1-branch.  With
+        And `a` depends on a group only through the value it selects.  A
+        path can then enter a group only at its first bit and leaves it
+        right after a 1-branch.  With
         m_g[j] = max(pi_j, (1 - pi_j) m_g[j+1]) and m_g[last] = 1 (the best
         conditional value once bits 0..j-1 are clear), a node testing bit j
         of group g scores max(pi_j skip V(hi), (1 - pi_j) V'(lo)), where
@@ -445,10 +446,9 @@ class BddManager:
         group order (a group a path jumps at its first best value) and keeps
         the branch whose selection comes first.
         """
-        level = self._level_of
-        groups = sorted(chains.items(), key=lambda item: level[item[1][0]])
-        n_query = sum(len(ids) for _, ids in groups)
-        if [v for _, ids in groups for v in ids] != self._var_at[:n_query]:
+        groups = sorted(chains.items(), key=lambda item: self._level_of[item[1][0]])
+        query_vars = [v for _, ids in groups for v in ids]
+        if query_vars != self._var_at[:len(query_vars)]:
             raise BddError(
                 "map_best needs each query chain's variables adjacent, in "
                 "chain order and above all other variables"
